@@ -32,7 +32,8 @@ std::string SimExecutor::impl_identity(const std::string& impl_name) const {
          ";runtime=" + p.runtime_lib +
          ";num_threads=" + std::to_string(options_.num_threads) +
          ";hang_timeout_us=" + std::to_string(options_.hang_timeout_us) +
-         ";max_interp_steps=" + std::to_string(options_.max_interp_steps);
+         ";max_interp_steps=" + std::to_string(options_.max_interp_steps) +
+         ";sim_engine_version=" + std::to_string(kSimEngineVersion);
 }
 
 std::vector<std::string> SimExecutor::implementations() const {

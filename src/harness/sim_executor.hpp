@@ -27,6 +27,12 @@ struct DetailedRun {
   rt::FaultDecision fault;
 };
 
+/// Version of the interpreter's observable semantics. SimExecutor stamps it
+/// into impl_identity, so persistent store and journal keys change whenever
+/// the semantics do; tests/test_interp_golden.cpp keys its golden digests by
+/// it. Bump it together with a new golden entry whenever a digest moves.
+inline constexpr int kSimEngineVersion = 1;
+
 struct SimExecutorOptions {
   int num_threads = 32;                      ///< team size (Section V-A uses 32)
   std::int64_t hang_timeout_us = 180'000'000;///< 3 minutes, as in Case Study 3
@@ -43,9 +49,9 @@ class SimExecutor final : public Executor {
                                     const std::string& impl_name) override;
   [[nodiscard]] std::vector<std::string> implementations() const override;
 
-  /// Backend kind + profile name + every SimExecutorOptions knob. Assumes a
-  /// profile name denotes one fixed parameter set (true for the built-in
-  /// vendor profiles); campaigns that hand-perturb profile fields (the
+  /// Backend kind + profile name + every SimExecutorOptions knob + the
+  /// engine version. Assumes a profile name denotes one fixed parameter set
+  /// (true for the built-in vendor profiles); campaigns that hand-perturb profile fields (the
   /// ablation benches) should not share a persistent result store.
   [[nodiscard]] std::string impl_identity(
       const std::string& impl_name) const override;
