@@ -342,6 +342,65 @@ PruneResult prune_unused_vars(const Program& program) {
   return out;
 }
 
+std::vector<const Expr*> maybe_unwritten_reads(const Program& program) {
+  std::vector<const Expr*> out;
+  const auto scan = [&out](const Expr& e, const std::vector<char>& stored) {
+    e.walk([&](const Expr& node) {
+      if (node.kind() == Expr::Kind::VarRef && stored[node.var_id()] == 0) {
+        out.push_back(&node);
+      }
+    });
+  };
+  // `stored` is taken by value: what a nested body stores stays inside it.
+  const std::function<void(const Block&, std::vector<char>)> block =
+      [&](const Block& b, std::vector<char> stored) {
+        for (const StmtPtr& sp : b.stmts) {
+          const Stmt& s = *sp;
+          switch (s.kind) {
+            case Stmt::Kind::Assign:
+            case Stmt::Kind::OmpAtomic:
+              if (s.target.index) scan(*s.target.index, stored);
+              scan(*s.value, stored);
+              if (!s.target.index) stored[s.target.var] = 1;
+              break;
+            case Stmt::Kind::Decl:
+              scan(*s.value, stored);  // before the target is stored
+              stored[s.target.var] = 1;
+              break;
+            case Stmt::Kind::If:
+              scan(*s.cond.rhs, stored);
+              block(s.body, stored);
+              break;
+            case Stmt::Kind::For: {
+              scan(*s.loop_bound, stored);
+              std::vector<char> inner = stored;
+              inner[s.loop_var] = 1;
+              block(s.body, std::move(inner));
+              break;
+            }
+            case Stmt::Kind::OmpParallel: {
+              // Private copies are zero-initialized on region entry; a
+              // firstprivate copy is stored exactly when its original is.
+              std::vector<char> inner = stored;
+              for (const VarId v : s.clauses.privates) inner[v] = 1;
+              block(s.body, std::move(inner));
+              break;
+            }
+            case Stmt::Kind::OmpCritical:
+            case Stmt::Kind::OmpSingle:
+            case Stmt::Kind::OmpMaster:
+              block(s.body, stored);
+              break;
+          }
+        }
+      };
+  std::vector<char> stored(program.var_count(), 0);
+  for (const VarId p : program.params()) stored[p] = 1;
+  if (program.comp() < stored.size()) stored[program.comp()] = 1;
+  block(program.body(), std::move(stored));
+  return out;
+}
+
 ProgramFeatures analyze(const Program& program) {
   ProgramFeatures f;
   for (const auto& d : program.vars()) {

@@ -98,6 +98,24 @@ struct ProgramFeatures {
 
 [[nodiscard]] ProgramFeatures analyze(const Program& program);
 
+/// Scalar reads that may execute before anything was stored to the variable
+/// in the executing thread. Params and comp are stored before the body runs,
+/// and entering a parallel region stores every private copy; after that a
+/// variable counts as stored once a Decl, assignment or atomic update of it
+/// has run on every path to the read. Only stores in enclosing blocks count
+/// (a store inside an if, loop body or region never covers a read after it),
+/// so the answer is conservative: every read that can observe an unwritten
+/// variable is returned, in pre-order.
+///
+/// Such a read is undefined behaviour in the emitted C++. The interpreter
+/// gives it a placeholder double 0.0, whatever the variable's declared type,
+/// and the lowering (interp/lower.hpp) keeps it dynamically typed. In
+/// generated programs every such read is a self-referential declaration
+/// whose initializer reads its own target, `float v = (v - x) / y;`, which
+/// the generator emits because a new temp joins the scope before its
+/// initializer is drawn.
+[[nodiscard]] std::vector<const Expr*> maybe_unwritten_reads(const Program& program);
+
 /// Result of dropping every variable the body never references (the
 /// reducer's final cleanup). Pruning renumbers the surviving VarIds, so the
 /// body is rebuilt through clone_remap and the program re-fingerprints.

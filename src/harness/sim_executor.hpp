@@ -6,6 +6,12 @@
 // model, and the fault model decides rare crash/hang outcomes. Every
 // decision derives from a hash of (program fingerprint, input, impl), making
 // whole campaigns bit-reproducible.
+//
+// Each run is counted in the process-wide telemetry registry: sim.runs,
+// sim.over_budget_runs, sim.steps, sim.compiles (programs lowered), and the
+// interpretation time in the sim.interp_nanos.ok / .over_budget histograms —
+// so the share of interpreter time spent on runs whose result is discarded
+// is visible in every metrics snapshot.
 #pragma once
 
 #include <optional>
@@ -47,6 +53,12 @@ class SimExecutor final : public Executor {
 
   [[nodiscard]] core::RunResult run(const TestCase& test, std::size_t input_index,
                                     const std::string& impl_name) override;
+  /// Lowers the program once per batch (once per contract_fma setting among
+  /// `impls`) and runs every (input, implementation) pair on that lowered
+  /// form. Results equal looping run().
+  [[nodiscard]] std::vector<core::RunResult> run_batch(
+      const TestCase& test, const std::vector<std::size_t>& input_indices,
+      const std::vector<std::string>& impls) override;
   [[nodiscard]] std::vector<std::string> implementations() const override;
 
   /// Backend kind + profile name + every SimExecutorOptions knob + the
@@ -69,6 +81,12 @@ class SimExecutor final : public Executor {
   [[nodiscard]] const SimExecutorOptions& options() const noexcept { return options_; }
 
  private:
+  [[nodiscard]] DetailedRun run_lowered(const TestCase& test,
+                                        const interp::Compiled& lowered,
+                                        std::uint64_t fingerprint,
+                                        std::size_t input_index,
+                                        const std::string& impl_name) const;
+
   std::vector<rt::OmpImplProfile> profiles_;
   SimExecutorOptions options_;
 };

@@ -18,6 +18,13 @@
 //
 // The interpreter also records the EventCounts stream and honors a step
 // budget so pathological trip-count combinations cannot stall a campaign.
+//
+// Execution is split in two: compile() (lower.hpp) lowers a program once
+// into flat, statically typed node arrays, and execute() runs that lowered
+// form on one input. Callers that run a program many times (SimExecutor's
+// batches) compile once; execute(const ast::Program&, ...) compiles and
+// runs in one call. One engine serves every caller: the access and value
+// traces are a template parameter, compiled away unless requested.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +32,7 @@
 #include "ast/program.hpp"
 #include "fp/input_gen.hpp"
 #include "interp/events.hpp"
+#include "interp/lower.hpp"
 #include "interp/trace.hpp"
 #include "interp/value.hpp"
 
@@ -54,8 +62,14 @@ struct InterpResult {
   std::uint64_t steps = 0;
 };
 
-/// Executes the program. Throws InterpError only for ill-formed programs
-/// (framework bugs); budget exhaustion is reported via the result.
+/// Executes a lowered program; `options.fp.contract_fma` must match the
+/// setting it was compiled with. Throws InterpError only for ill-formed
+/// programs (framework bugs); budget exhaustion is reported via the result.
+[[nodiscard]] InterpResult execute(const Compiled& program,
+                                   const fp::InputSet& input,
+                                   const InterpOptions& options = {});
+
+/// Compiles and executes in one call.
 [[nodiscard]] InterpResult execute(const ast::Program& program,
                                    const fp::InputSet& input,
                                    const InterpOptions& options = {});

@@ -638,6 +638,155 @@ TEST(Interp, BudgetInsideRegionLeavesValidState) {
   EXPECT_FALSE(std::isnan(r.comp));  // reads global comp, not a dangling frame
 }
 
+TEST(Interp, ExactStepBudgetCompletesAndOneLessStopsAtTheLastStatement) {
+  // for (i < 3) comp += 1.0: one step for the loop statement, then per
+  // iteration one step for the iteration and one for the assignment.
+  TestProgram t;
+  const VarId i = t.loop_index("i_1");
+  Block body;
+  body.stmts.push_back(Stmt::assign(LValue{t.comp, nullptr}, AssignOp::AddAssign,
+                                    Expr::fp_const(1.0)));
+  t.prog.body().stmts.push_back(
+      Stmt::for_loop(i, Expr::int_const(3), std::move(body), false));
+  const auto full = t.run();
+  ASSERT_TRUE(full.ok);
+  ASSERT_EQ(full.steps, 7u);
+
+  InterpOptions exact;
+  exact.max_steps = full.steps;
+  const auto at_budget = t.run(exact);
+  EXPECT_TRUE(at_budget.ok);
+  EXPECT_FALSE(at_budget.over_budget);
+  EXPECT_EQ(at_budget.steps, full.steps);
+  EXPECT_DOUBLE_EQ(at_budget.comp, 3.0);
+
+  InterpOptions one_less;
+  one_less.max_steps = full.steps - 1;
+  const auto over = t.run(one_less);
+  EXPECT_FALSE(over.ok);
+  EXPECT_TRUE(over.over_budget);
+  EXPECT_EQ(over.steps, full.steps);  // the step that broke the budget counts
+  EXPECT_DOUBLE_EQ(over.comp, 2.0);
+  // Partial counts hold everything before the refused third assignment.
+  EXPECT_EQ(over.events.loop_iterations, 3u);
+  EXPECT_EQ(over.events.branches, 3u);
+  EXPECT_EQ(over.events.scalar_loads, 2u);
+  EXPECT_EQ(over.events.scalar_stores, 2u);
+  EXPECT_EQ(full.events.scalar_stores, 3u);
+}
+
+TEST(Interp, ModuloByZeroThrows) {
+  TestProgram t;
+  const VarId arr = t.add_array("arr", FpWidth::F64, 8, 1.0);
+  const VarId zero = t.add_int("n_zero", 0);
+  t.prog.body().stmts.push_back(Stmt::assign(
+      LValue{t.comp, nullptr}, AssignOp::AddAssign,
+      Expr::array(arr, Expr::binary(BinOp::Mod, Expr::int_const(5),
+                                    Expr::var(zero)))));
+  EXPECT_THROW((void)t.run(), InterpError);
+}
+
+// `float t = (x + k) + y` with an int k: the int operand promotes the whole
+// expression to double, and only the declaration rounds to float. With
+// x = 2^24 and y = 1, all-float arithmetic would round x + 1 back to 2^24.
+void expect_int_operand_promotes(bool use_thread_id) {
+  TestProgram t;
+  const VarId x = t.add_float("x", 16777216.0f);
+  const VarId y = t.add_float("y", 1.0f);
+  const VarId i = t.loop_index("i_1");
+  const VarId tmp =
+      t.prog.add_var({"t_1", VarKind::FpScalar, VarRole::Temp, FpWidth::F32, 0});
+  Block body;
+  body.stmts.push_back(Stmt::decl(
+      tmp, Expr::binary(BinOp::Add,
+                        Expr::binary(BinOp::Add, Expr::var(x),
+                                     use_thread_id ? Expr::thread_id()
+                                                   : Expr::var(i)),
+                        Expr::var(y))));
+  body.stmts.push_back(Stmt::assign(LValue{t.comp, nullptr}, AssignOp::AddAssign,
+                                    Expr::var(tmp)));
+  if (use_thread_id) {
+    OmpClauses clauses;
+    clauses.reduction = ReductionOp::Sum;
+    clauses.num_threads = 2;
+    add_region(t, std::move(clauses), Block{}, i, 1, std::move(body), false);
+  } else {
+    t.prog.body().stmts.push_back(
+        Stmt::for_loop(i, Expr::int_const(2), std::move(body), false));
+  }
+  // k = 0: 2^24 + 1 rounds to 2^24; k = 1: 2^24 + 2 is a float.
+  const double promoted = 16777216.0 + 16777218.0;
+  const double all_float = 2 * 16777216.0;
+  ASSERT_NE(promoted, all_float);
+  EXPECT_EQ(t.run().comp, promoted);
+}
+
+TEST(Interp, BinaryWithLoopIndexModOperandPromotesToDouble) {
+  expect_int_operand_promotes(/*use_thread_id=*/false);
+}
+
+TEST(Interp, BinaryWithThreadIdOperandPromotesToDouble) {
+  expect_int_operand_promotes(/*use_thread_id=*/true);
+}
+
+// `float v = (v - x) * y + z;` reads its own target. Pinned behaviour: the
+// first execution reads the interpreter's placeholder, a double 0.0, so the
+// initializer is computed in double; a later serial iteration reads the
+// float v the previous iteration stored, so it is computed in float.
+TEST(Interp, SelfReferentialDeclReadsDoubleZeroThenPreviousIteration) {
+  TestProgram t;
+  const float xf = 0.1f;
+  const float yf = 3.0f;
+  const float zf = 0.1f;
+  const VarId x = t.add_float("x", xf);
+  const VarId y = t.add_float("y", yf);
+  const VarId z = t.add_float("z", zf);
+  const VarId i = t.loop_index("i_1");
+  const VarId v =
+      t.prog.add_var({"v_1", VarKind::FpScalar, VarRole::Temp, FpWidth::F32, 0});
+  Block body;
+  body.stmts.push_back(Stmt::decl(
+      v, Expr::binary(BinOp::Add,
+                      Expr::binary(BinOp::Mul,
+                                   Expr::binary(BinOp::Sub, Expr::var(v), Expr::var(x)),
+                                   Expr::var(y)),
+                      Expr::var(z))));
+  body.stmts.push_back(Stmt::assign(LValue{t.comp, nullptr}, AssignOp::AddAssign,
+                                    Expr::var(v)));
+  t.prog.body().stmts.push_back(
+      Stmt::for_loop(i, Expr::int_const(2), std::move(body), false));
+
+  // The detector finds exactly the self-read.
+  const auto unwritten = ast::maybe_unwritten_reads(t.prog);
+  ASSERT_EQ(unwritten.size(), 1u);
+  EXPECT_EQ(unwritten[0]->var_id(), v);
+
+  const float first = static_cast<float>(
+      (0.0 - static_cast<double>(xf)) * static_cast<double>(yf) +
+      static_cast<double>(zf));
+  const float first_if_float = (0.0f - xf) * yf + zf;
+  ASSERT_NE(first, first_if_float);  // the program tells the two apart
+  const float second = (first - xf) * yf + zf;
+  const auto r = t.run();
+  EXPECT_EQ(r.comp, static_cast<double>(first) + static_cast<double>(second));
+  // Same answer from a lowered form reused across runs.
+  fp::InputSet set;
+  set.values = t.inputs;
+  const Compiled lowered = compile(t.prog);
+  EXPECT_EQ(execute(lowered, set).comp, r.comp);
+  EXPECT_EQ(execute(lowered, set).comp, r.comp);
+}
+
+TEST(Interp, ExecuteRefusesMismatchedFmaSetting) {
+  TestProgram t;
+  fp::InputSet set;
+  set.values = t.inputs;
+  const Compiled lowered = compile(t.prog, /*contract_fma=*/false);
+  InterpOptions fma;
+  fma.fp.contract_fma = true;
+  EXPECT_THROW((void)execute(lowered, set, fma), Error);
+}
+
 // ------------------------------------------------------------ scheduling ---
 
 TEST(StaticChunk, CoversRangeExactlyOnce) {

@@ -16,6 +16,7 @@
 
 #include "harness/campaign.hpp"
 #include "harness/campaign_metrics.hpp"
+#include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
 #include "support/config.hpp"
 #include "support/fault_injection.hpp"
@@ -217,6 +218,63 @@ TEST(TelemetryRegistry, CampaignRunMetricsDeterministicAcrossThreadCounts) {
   ASSERT_NE(h4, nullptr);
   EXPECT_EQ(h1->counter, 8u);
   EXPECT_EQ(h4->counter, 8u);
+}
+
+// SimExecutor's per-run metrics: one bump per run and per lowered program,
+// the same deltas at any thread count, and nothing in the report. A small
+// step budget makes some runs end over budget, so the over-budget split of
+// the interpreter time is exercised too.
+TEST(TelemetryRegistry, SimRunMetricsCountEveryRunAtAnyThreadCount) {
+  struct Observed {
+    MetricsSnapshot metrics;
+    std::string report;
+    int runs = 0;
+    int skipped = 0;
+  };
+  const auto run_with_threads = [](int threads) {
+    CampaignConfig cfg;
+    cfg.generator.max_loop_trip_count = 40;
+    cfg.num_programs = 8;
+    cfg.inputs_per_program = 2;
+    cfg.seed = 0x51A;
+    cfg.threads = threads;
+    harness::SimExecutorOptions opt;
+    opt.max_interp_steps = 30'000;
+    harness::SimExecutor exec{opt};
+    harness::Campaign campaign(cfg, exec);
+    const harness::CampaignResult result = campaign.run();
+    Observed out{campaign.run_metrics(), harness::to_json(result), result.total_runs, 0};
+    for (const auto& outcome : result.outcomes) {
+      for (const auto& run : outcome.runs) {
+        out.skipped += run.status == core::RunStatus::Skipped ? 1 : 0;
+      }
+    }
+    return out;
+  };
+
+  const Observed one = run_with_threads(1);
+  const Observed four = run_with_threads(4);
+  ASSERT_GT(one.skipped, 0) << "the budget must cut some runs short";
+  ASSERT_LT(one.skipped, one.runs);
+  for (const Observed* o : {&one, &four}) {
+    const MetricsSnapshot& m = o->metrics;
+    EXPECT_EQ(m.counter("sim.runs"), static_cast<std::uint64_t>(o->runs));
+    EXPECT_EQ(m.counter("sim.over_budget_runs"),
+              static_cast<std::uint64_t>(o->skipped));
+    // One lowering per (program, backend) unit: no profile contracts FMA.
+    EXPECT_EQ(m.counter("sim.compiles"), 8u);
+    const auto* ok = m.find("sim.interp_nanos.ok");
+    const auto* over = m.find("sim.interp_nanos.over_budget");
+    ASSERT_NE(ok, nullptr);
+    ASSERT_NE(over, nullptr);
+    EXPECT_EQ(ok->counter + over->counter, m.counter("sim.runs"));
+    EXPECT_EQ(over->counter, m.counter("sim.over_budget_runs"));
+    EXPECT_GT(over->sum, 0u);
+    EXPECT_EQ(o->report.find("sim."), std::string::npos);  // snapshot only
+  }
+  EXPECT_EQ(one.metrics.counter("sim.steps"), four.metrics.counter("sim.steps"));
+  EXPECT_GT(one.metrics.counter("sim.steps"), 0u);
+  EXPECT_EQ(one.report, four.report);
 }
 
 TEST(TelemetryRegistry, MetricsJsonRendersEverySection) {
