@@ -69,37 +69,6 @@ bool is_subnormal(T v) noexcept {
   return std::fabs(v) < std::numeric_limits<T>::min() && v != T{0};
 }
 
-/// Storage of one scalar variable: the payload of its last store plus that
-/// store's tag. A never-stored slot reads as double 0.0 (tag F64, zero
-/// payload), which reads as 0 through every field.
-struct Slot {
-  union {
-    std::int64_t i = 0;
-    double d;
-    float f;
-  };
-  Value::Tag tag = Value::Tag::F64;
-
-  void set_int(std::int64_t v) noexcept { i = v; tag = Value::Tag::Int; }
-  void set_f32(float v) noexcept { f = v; tag = Value::Tag::F32; }
-  void set_f64(double v) noexcept { d = v; tag = Value::Tag::F64; }
-
-  [[nodiscard]] Value value() const noexcept {
-    switch (tag) {
-      case Value::Tag::Int: return Value::make_int(i);
-      case Value::Tag::F32: return Value::make_f32(f);
-      case Value::Tag::F64: return Value::make_f64(d);
-    }
-    return {};
-  }
-  /// The float a compound float update starts from: a float-tagged value,
-  /// else 0 (a never-stored slot, or an ill-formed program's int store).
-  [[nodiscard]] float old_f32() const noexcept {
-    return tag == Value::Tag::F32 ? f : 0.0f;
-  }
-  [[nodiscard]] double as_double() const noexcept { return value().as_double(); }
-};
-
 /// The right-hand side of a float target's update: C++ computes the
 /// compound operation in float only when the value is float too.
 struct FloatUpdate {
@@ -107,23 +76,6 @@ struct FloatUpdate {
   float f;
   double d;
 };
-
-/// Per-run storage, kept per thread and reused: runs reuse the capacity of
-/// earlier runs instead of allocating (and fragmenting the heap) every time.
-/// execute() never re-enters itself, so one workspace per thread suffices.
-struct Workspace {
-  std::vector<Slot> globals;
-  std::vector<Slot> locals;  ///< the current thread's private copies
-  std::vector<Slot*> view;   ///< per variable: its global or private slot
-  std::vector<double> array_store;
-  std::vector<double*> arrays;  ///< per variable: bound array, else null
-  std::vector<double> contributions;  ///< per-thread reduction contributions
-};
-
-Workspace& thread_workspace() {
-  thread_local Workspace workspace;
-  return workspace;
-}
 
 /// The engine. Traced instantiations feed InterpOptions::trace/values; the
 /// untraced one compiles every hook away.
@@ -137,18 +89,13 @@ class Engine {
         stmts_(program.stmts.data()),
         opt_(options),
         flush_(options.fp.flush_subnormals),
-        max_steps_(options.max_steps),
-        ws_(thread_workspace()) {
+        max_steps_(options.max_steps) {
     const std::size_t n = program.vars.size();
-    ws_.globals.assign(n, Slot{});
-    ws_.locals.assign(n, Slot{});
-    ws_.view.resize(n);
-    ws_.arrays.assign(n, nullptr);
-    globals_ = ws_.globals.data();
-    locals_ = ws_.locals.data();
-    view_ = ws_.view.data();
-    arrays_ = ws_.arrays.data();
+    globals_.assign(n, Value{});
+    locals_.assign(n, Value{});
+    view_.resize(n);
     for (std::size_t v = 0; v < n; ++v) view_[v] = &globals_[v];
+    arrays_.assign(n, nullptr);
     if constexpr (kTraced) {
       if (opt_.values != nullptr) opt_.values->reset(n);
     }
@@ -180,7 +127,7 @@ class Engine {
         total += static_cast<std::size_t>(decl.array_size);
       }
     }
-    ws_.array_store.resize(total);
+    array_store_.resize(total);
     std::size_t next = 0;
     for (std::size_t k = 0; k < prog_.params.size(); ++k) {
       const VarId id = prog_.params[k];
@@ -188,14 +135,14 @@ class Engine {
       const auto& v = input.values[k];
       switch (decl.kind) {
         case VarKind::IntScalar:
-          globals_[id].set_int(v.int_value);
+          globals_[id] = Value::make_int(v.int_value);
           note_int(id, v.int_value);
           break;
         case VarKind::FpScalar:
           if (decl.width == FpWidth::F32) {
-            globals_[id].set_f32(flush32(static_cast<float>(v.fp_value)));
+            globals_[id] = Value::make_f32(flush32(static_cast<float>(v.fp_value)));
           } else {
-            globals_[id].set_f64(flush64(v.fp_value));
+            globals_[id] = Value::make_f64(flush64(v.fp_value));
           }
           break;
         case VarKind::FpArray: {
@@ -203,7 +150,7 @@ class Engine {
           const double fill = decl.width == FpWidth::F32
                                   ? static_cast<double>(flush32(static_cast<float>(v.fp_value)))
                                   : flush64(v.fp_value);
-          double* base = ws_.array_store.data() + next;
+          double* base = array_store_.data() + next;
           next += static_cast<std::size_t>(decl.array_size);
           std::fill(base, base + decl.array_size, fill);
           arrays_[id] = base;
@@ -211,7 +158,7 @@ class Engine {
         }
       }
     }
-    globals_[prog_.comp].set_f64(0.0);
+    globals_[prog_.comp] = Value::make_f64(0.0);
   }
 
   // -- fp semantics -------------------------------------------------------------
@@ -250,7 +197,7 @@ class Engine {
   }
 
   /// A scalar read: counted, traced when it reaches shared storage.
-  const Slot& load(VarId id) {
+  const Value& load(VarId id) {
     ++ev_.scalar_loads;
     if constexpr (kTraced) {
       if (shared(id)) record(id, -1, /*is_write=*/false);
@@ -259,7 +206,7 @@ class Engine {
   }
 
   /// A scalar store through the thread's view (assignments).
-  Slot& store(VarId id) {
+  Value& store(VarId id) {
     ++ev_.scalar_stores;
     if constexpr (kTraced) {
       if (shared(id)) record(id, -1, /*is_write=*/true);
@@ -268,7 +215,7 @@ class Engine {
   }
 
   /// The slot a Decl or loop header binds: thread-private inside a region.
-  Slot& bind_local(VarId id, bool in_region) {
+  Value& bind_local(VarId id, bool in_region) {
     if (!in_region) return globals_[id];
     view_[id] = &locals_[id];
     return locals_[id];
@@ -419,7 +366,7 @@ class Engine {
 
   Value eval_dyn(const Node& n) {
     switch (n.op) {
-      case Op::LoadDyn: return load(n.a).value();
+      case Op::LoadDyn: return load(n.a);
       case Op::BinDyn: {
         const Value a = eval_value(n.operand(1));
         const Value b = eval_value(n.operand(n.a));
@@ -510,12 +457,12 @@ class Engine {
     const auto op = static_cast<AssignOp>(s.sub);
     if (s.op == StmtOp::AssignF32) {
       const FloatUpdate rhs = eval_float_update(nodes_[s.value]);
-      const float old_value = op == AssignOp::Assign ? 0.0f : load(s.var).old_f32();
-      store(s.var).set_f32(combine_f32(op, old_value, rhs));
+      const float old_value = op == AssignOp::Assign ? 0.0f : load(s.var).f;
+      store(s.var) = Value::make_f32(combine_f32(op, old_value, rhs));
     } else {
       const double rhs = eval_f64(nodes_[s.value]);
       const double old_value = op == AssignOp::Assign ? 0.0 : load(s.var).as_double();
-      store(s.var).set_f64(combine_f64(op, old_value, rhs));
+      store(s.var) = Value::make_f64(combine_f64(op, old_value, rhs));
     }
   }
 
@@ -535,11 +482,11 @@ class Engine {
     if constexpr (kTraced) {
       if (shared(s.var)) record(s.var, -1, /*is_write=*/true, /*is_atomic=*/true);
     }
-    Slot& slot = *view_[s.var];
+    Value& slot = *view_[s.var];
     if (f32) {
-      slot.set_f32(combine_f32(op, op == AssignOp::Assign ? 0.0f : slot.old_f32(), frhs));
+      slot = Value::make_f32(combine_f32(op, op == AssignOp::Assign ? 0.0f : slot.f, frhs));
     } else {
-      slot.set_f64(combine_f64(op, op == AssignOp::Assign ? 0.0 : slot.as_double(), drhs));
+      slot = Value::make_f64(combine_f64(op, op == AssignOp::Assign ? 0.0 : slot.as_double(), drhs));
     }
   }
 
@@ -555,7 +502,7 @@ class Engine {
       case StmtOp::AssignInt: {
         const std::int64_t v = eval_int(nodes_[s.value]);
         note_int(s.var, v);
-        store(s.var).set_int(v);
+        store(s.var) = Value::make_int(v);
         break;
       }
       case StmtOp::AssignF32:
@@ -576,13 +523,13 @@ class Engine {
         break;
       case StmtOp::DeclF32: {
         const double init = eval_f64(nodes_[s.value]);
-        bind_local(s.var, s.in_region).set_f32(flush32(static_cast<float>(init)));
+        bind_local(s.var, s.in_region) = Value::make_f32(flush32(static_cast<float>(init)));
         ++ev_.scalar_stores;
         break;
       }
       case StmtOp::DeclF64: {
         const double init = eval_f64(nodes_[s.value]);
-        bind_local(s.var, s.in_region).set_f64(flush64(init));
+        bind_local(s.var, s.in_region) = Value::make_f64(flush64(init));
         ++ev_.scalar_stores;
         break;
       }
@@ -634,7 +581,7 @@ class Engine {
       ++ev_.loop_iterations;
       ++ev_.branches;  // loop condition check
       note_int(s.var, i);
-      bind_local(s.var, s.in_region).set_int(i);
+      bind_local(s.var, s.in_region) = Value::make_int(i);
       exec_block(s.begin, s.end);
     }
   }
@@ -675,8 +622,7 @@ class Engine {
     const int team = opt_.num_threads_override > 0 ? opt_.num_threads_override
                                                    : r.num_threads;
     const VarId comp = prog_.comp;
-    std::vector<double>& contributions = ws_.contributions;
-    contributions.clear();
+    std::vector<double> contributions;  // per-thread reduction contributions
     team_ = team;
     for (int tid = 0; tid < team; ++tid) {
       ++ev_.thread_starts;
@@ -685,12 +631,10 @@ class Engine {
         view_[v] = &locals_[v];
         const auto& d = prog_.vars[v];
         if (d.kind == VarKind::IntScalar) {
-          locals_[v].set_int(0);
+          locals_[v] = Value::make_int(0);
           note_int(v, 0);
-        } else if (d.width == FpWidth::F32) {
-          locals_[v].set_f32(0.0f);
         } else {
-          locals_[v].set_f64(0.0);
+          locals_[v] = Value::zero_of(d.width);
         }
       }
       for (const VarId v : r.firstprivates) {
@@ -699,7 +643,7 @@ class Engine {
       }
       if (r.has_reduction) {
         view_[comp] = &locals_[comp];
-        locals_[comp].set_f64(r.reduction == ast::ReductionOp::Sum ? 0.0 : 1.0);
+        locals_[comp] = Value::make_f64(r.reduction == ast::ReductionOp::Sum ? 0.0 : 1.0);
       }
       tid_ = tid;
       in_region_ = true;
@@ -714,17 +658,18 @@ class Engine {
         contributions.push_back(locals_[comp].as_double());
       }
     }
-    if (r.has_reduction) combine_reduction(r.reduction == ast::ReductionOp::Sum);
+    if (r.has_reduction) {
+      combine_reduction(r.reduction == ast::ReductionOp::Sum, contributions);
+    }
     // Implicit join barrier: one arrival per team member (ev_.barriers counts
     // arrivals so the cost models can charge per-thread synchronization).
     ev_.barriers += static_cast<std::uint64_t>(team);
   }
 
-  void combine_reduction(bool is_sum) {
+  void combine_reduction(bool is_sum, std::vector<double>& parts) {
     const auto combine2 = [&](double a, double b) {
       return flush64(is_sum ? a + b : a * b);
     };
-    std::vector<double>& parts = ws_.contributions;
     if (opt_.fp.reassociate_reductions) {
       // Pairwise tree combine, as a vectorized reduction produces.
       while (parts.size() > 1) {
@@ -743,8 +688,8 @@ class Engine {
       parts.resize(1);  // an empty team folds to a single 0.0
     }
     const double total = parts.empty() ? (is_sum ? 0.0 : 1.0) : parts[0];
-    Slot& comp = globals_[prog_.comp];
-    comp.set_f64(combine2(comp.as_double(), total));
+    Value& comp = globals_[prog_.comp];
+    comp = Value::make_f64(combine2(comp.as_double(), total));
   }
 
   const Compiled& prog_;
@@ -753,12 +698,11 @@ class Engine {
   const InterpOptions& opt_;
   const bool flush_;
   const std::uint64_t max_steps_;
-  Workspace& ws_;
-  // Views of ws_'s arrays, sized once per run.
-  Slot* globals_ = nullptr;
-  Slot* locals_ = nullptr;
-  Slot** view_ = nullptr;
-  double** arrays_ = nullptr;
+  std::vector<Value> globals_;
+  std::vector<Value> locals_;  ///< the current thread's private copies
+  std::vector<Value*> view_;   ///< per variable: its global or private slot
+  std::vector<double> array_store_;
+  std::vector<double*> arrays_;  ///< per variable: bound array, else null
   int tid_ = 0;
   int team_ = 1;
   bool in_region_ = false;

@@ -21,18 +21,15 @@ using ir::Node;
 using ir::Op;
 using ir::StmtOp;
 
-/// The type every store to a variable produces when the program uses it as
-/// its declaration says.
+/// The type an assignment or private copy stores to a variable; reads of a
+/// variable whose every store has this type have it too.
 Ty declared_type(const VarDecl& d) {
   if (d.kind == VarKind::IntScalar) return Ty::Int;
   return d.width == FpWidth::F32 ? Ty::F32 : Ty::F64;
 }
 
-/// Type of the value an assignment, atomic update or private copy stores.
-Ty stored_type(const VarDecl& d) { return declared_type(d); }
-
-/// Type of the value a Decl stores: the declared width, whatever the kind.
-Ty decl_type(const VarDecl& d) {
+/// The type a Decl or atomic update stores: the width, whatever the kind.
+Ty width_type(const VarDecl& d) {
   return d.width == FpWidth::F32 ? Ty::F32 : Ty::F64;
 }
 
@@ -57,16 +54,6 @@ class Lowerer {
     out_.params.assign(prog_.params().begin(), prog_.params().end());
     out_.comp = prog_.comp();
     out_.body_end = static_cast<std::uint32_t>(prog_.body().size());
-    // Sized up front: growing the arrays node by node churns the heap of
-    // every campaign worker. Each expression node lowers to itself plus at
-    // most one conversion; an if guard adds a load and a conversion.
-    std::size_t bound = 0;
-    ast::walk_exprs(prog_.body(), [&bound](const Expr&) { bound += 2; });
-    ast::walk_stmts(prog_.body(), [&bound](const ast::Stmt& s) {
-      bound += s.kind == ast::Stmt::Kind::If ? 2 : 0;
-    });
-    out_.nodes.reserve(bound);
-    out_.stmts.reserve(ast::count_stmts(prog_.body()));
     lower_block(prog_.body());
     return std::move(out_);
   }
@@ -86,7 +73,7 @@ class Lowerer {
       if (v < var_ty_.size() && var_ty_[v] != t) var_ty_[v] = Ty::Dyn;
     };
     for (const VarId p : prog_.params()) {
-      if (prog_.var(p).kind != VarKind::FpArray) store(p, stored_type(prog_.var(p)));
+      if (prog_.var(p).kind != VarKind::FpArray) store(p, declared_type(prog_.var(p)));
     }
     store(prog_.comp(), Ty::F64);
     ast::walk_stmts(prog_.body(), [&](const ast::Stmt& s) {
@@ -95,21 +82,19 @@ class Lowerer {
         case ast::Stmt::Kind::OmpAtomic:
           if (!s.target.is_array_element()) {
             const VarDecl& d = prog_.var(s.target.var);
-            // Atomic updates store by width; assignments store int targets
-            // as int.
             store(s.target.var, s.kind == ast::Stmt::Kind::OmpAtomic
-                                    ? decl_type(d)
-                                    : stored_type(d));
+                                    ? width_type(d)
+                                    : declared_type(d));
           }
           break;
         case ast::Stmt::Kind::Decl:
-          store(s.target.var, decl_type(prog_.var(s.target.var)));
+          store(s.target.var, width_type(prog_.var(s.target.var)));
           break;
         case ast::Stmt::Kind::For:
           store(s.loop_var, Ty::Int);
           break;
         case ast::Stmt::Kind::OmpParallel:
-          for (const VarId v : s.clauses.privates) store(v, stored_type(prog_.var(v)));
+          for (const VarId v : s.clauses.privates) store(v, declared_type(prog_.var(v)));
           break;
         default:
           break;
@@ -168,20 +153,24 @@ class Lowerer {
     return static_cast<std::uint32_t>(out_.nodes.size()) - node;
   }
 
-  /// Emits `e` converted to `want` (Int or F64), or as-is for Dyn/F32 wants
-  /// that match. Returns the index of the emitted root.
-  std::uint32_t emit_as(const Expr& e, Ty want) {
-    const Ty t = type_of(e);
-    if (t == want) return emit(e);
-    std::uint32_t root = 0;
+  /// Pushes the node converting a `from` value to `want` (Int or F64), if
+  /// they differ; the converted value must be emitted next.
+  void push_conversion(Ty from, Ty want) {
+    if (from == want) return;
     if (want == Ty::F64) {
-      root = push(t == Ty::Int ? Op::IntToF64 : t == Ty::F32 ? Op::F32ToF64 : Op::DynToF64,
-                  Ty::F64);
+      (void)push(from == Ty::Int ? Op::IntToF64 : from == Ty::F32 ? Op::F32ToF64 : Op::DynToF64,
+                 Ty::F64);
     } else {
       OMPFUZZ_CHECK(want == Ty::Int, "conversion target must be int or double");
-      root = push(t == Ty::F32 ? Op::F32ToInt : t == Ty::F64 ? Op::F64ToInt : Op::DynToInt,
-                  Ty::Int);
+      (void)push(from == Ty::F32 ? Op::F32ToInt : from == Ty::F64 ? Op::F64ToInt : Op::DynToInt,
+                 Ty::Int);
     }
+  }
+
+  /// Emits `e` converted to `want` (Int or F64); returns the root's index.
+  std::uint32_t emit_as(const Expr& e, Ty want) {
+    const auto root = static_cast<std::uint32_t>(out_.nodes.size());
+    push_conversion(type_of(e), want);
     (void)emit(e);
     return root;
   }
@@ -272,7 +261,7 @@ class Lowerer {
     }
   }
 
-  /// Lowers `body` after the statements already reserved; returns its range.
+  /// Lowers `body` after the statements already reserved into s.begin/end.
   void lower_body(const Block& body, ir::Stmt& s) {
     s.begin = static_cast<std::uint32_t>(out_.stmts.size());
     lower_block(body);
@@ -288,21 +277,17 @@ class Lowerer {
         lower_update(st, s);
         break;
       case ast::Stmt::Kind::Decl:
-        s.op = decl_type(prog_.var(st.target.var)) == Ty::F32 ? StmtOp::DeclF32
+        s.op = width_type(prog_.var(st.target.var)) == Ty::F32 ? StmtOp::DeclF32
                                                               : StmtOp::DeclF64;
         s.var = st.target.var;
         s.value = emit_as(*st.value, Ty::F64);
         break;
       case ast::Stmt::Kind::If:
+        // The guard variable is a plain read, converted like any operand.
         s.op = StmtOp::If;
         s.sub = static_cast<std::uint8_t>(st.cond.op);
-        s.var = st.cond.lhs;
         s.index = static_cast<std::uint32_t>(out_.nodes.size());
-        if (var_ty_[st.cond.lhs] != Ty::F64) {
-          const Ty t = var_ty_[st.cond.lhs];
-          (void)push(t == Ty::Int ? Op::IntToF64 : t == Ty::F32 ? Op::F32ToF64 : Op::DynToF64,
-                     Ty::F64);
-        }
+        push_conversion(var_ty_[st.cond.lhs], Ty::F64);
         (void)emit_load(st.cond.lhs, var_ty_[st.cond.lhs]);
         s.value = emit_as(*st.cond.rhs, Ty::F64);
         lower_body(st.body, s);
