@@ -13,12 +13,12 @@
 //   * one entry per parallel region with its clause lists and the variables
 //     a thread can privatize.
 //
-// One value keeps the tag-dispatched Value evaluation of the tree-walking
-// design: a read of a float scalar that may execute before anything was
-// stored to it (ast::maybe_unwritten_reads — in generated programs, the
-// self-referential `float v = (v - x) / y;`). Such a read yields a double
-// 0.0 on its first execution and a float afterwards, so its type is Dyn and
-// every operation it feeds is decided per execution.
+// One kind of read keeps tag-dispatched Value evaluation: a read of a float
+// scalar that may execute before anything was stored to it
+// (ast::maybe_unwritten_reads — in generated programs, the self-referential
+// `float v = (v - x) / y;`). Such a read yields a double 0.0 on its first
+// execution and a float afterwards, so its type is Dyn and every operation
+// it feeds is decided per execution.
 //
 // FMA contraction changes which operations exist, so it is decided here:
 // compile once per contract_fma setting and execute with matching options.
@@ -145,9 +145,9 @@ struct Compiled {
   bool contract_fma = false;
 };
 
-/// Lowers `program` once. Never throws for a program execute() could run:
-/// every runtime error of the tree-walking design (bad subscript, modulo by
-/// zero, unbound array, nested region) is still raised when executed.
+/// Lowers `program` once. Runtime errors (bad subscript, modulo by zero,
+/// unbound array, nested region) are left to execute(), which raises them
+/// when the faulty statement runs.
 [[nodiscard]] Compiled compile(const ast::Program& program,
                                bool contract_fma = false);
 

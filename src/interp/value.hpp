@@ -60,8 +60,6 @@ struct Value {
     return 0;
   }
 
-  [[nodiscard]] bool is_float() const noexcept { return tag == Tag::F32; }
-
   /// Zero of the given variable width (the deterministic placeholder for
   /// never-initialized privates; generated programs never read one).
   static Value zero_of(ast::FpWidth w) noexcept {
