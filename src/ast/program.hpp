@@ -109,11 +109,10 @@ struct ProgramFeatures {
 ///
 /// Such a read is undefined behaviour in the emitted C++. The interpreter
 /// gives it a placeholder double 0.0, whatever the variable's declared type,
-/// and the lowering (interp/lower.hpp) keeps it dynamically typed. In
-/// generated programs every such read is a self-referential declaration
-/// whose initializer reads its own target, `float v = (v - x) / y;`, which
-/// the generator emits because a new temp joins the scope before its
-/// initializer is drawn.
+/// and the lowering (interp/lower.hpp) keeps it dynamically typed. In the
+/// generated streams the benchmark runs, every such read sits in a
+/// self-referential declaration, `float v = (v - x) / y;`: the generator
+/// adds a new temp to the scope before drawing its initializer.
 [[nodiscard]] std::vector<const Expr*> maybe_unwritten_reads(const Program& program);
 
 /// Result of dropping every variable the body never references (the

@@ -63,8 +63,9 @@ class SimExecutor final : public Executor {
 
   /// Backend kind + profile name + every SimExecutorOptions knob + the
   /// engine version. Assumes a profile name denotes one fixed parameter set
-  /// (true for the built-in vendor profiles); campaigns that hand-perturb profile fields (the
-  /// ablation benches) should not share a persistent result store.
+  /// (true for the built-in vendor profiles); campaigns that hand-perturb
+  /// profile fields (the ablation benches) should not share a persistent
+  /// result store.
   [[nodiscard]] std::string impl_identity(
       const std::string& impl_name) const override;
 
