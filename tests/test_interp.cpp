@@ -686,13 +686,15 @@ TEST(Interp, ModuloByZeroThrows) {
   EXPECT_THROW((void)t.run(), InterpError);
 }
 
-// `float t = (x + k) + y` with an int k: the int operand promotes the whole
-// expression to double, and only the declaration rounds to float. With
-// x = 2^24 and y = 1, all-float arithmetic would round x + 1 back to 2^24.
+// `float t = (x + k) + y` with an int k (`i % n` or the thread id): the int
+// operand promotes the whole expression to double, and only the declaration
+// rounds to float. With x = 2^24 and y = 1, all-float arithmetic would round
+// x + 1 back to 2^24.
 void expect_int_operand_promotes(bool use_thread_id) {
   TestProgram t;
   const VarId x = t.add_float("x", 16777216.0f);
   const VarId y = t.add_float("y", 1.0f);
+  const VarId n = t.add_int("n_1", 5);
   const VarId i = t.loop_index("i_1");
   const VarId tmp =
       t.prog.add_var({"t_1", VarKind::FpScalar, VarRole::Temp, FpWidth::F32, 0});
@@ -700,8 +702,10 @@ void expect_int_operand_promotes(bool use_thread_id) {
   body.stmts.push_back(Stmt::decl(
       tmp, Expr::binary(BinOp::Add,
                         Expr::binary(BinOp::Add, Expr::var(x),
-                                     use_thread_id ? Expr::thread_id()
-                                                   : Expr::var(i)),
+                                     use_thread_id
+                                         ? Expr::thread_id()
+                                         : Expr::binary(BinOp::Mod, Expr::var(i),
+                                                        Expr::var(n))),
                         Expr::var(y))));
   body.stmts.push_back(Stmt::assign(LValue{t.comp, nullptr}, AssignOp::AddAssign,
                                     Expr::var(tmp)));
