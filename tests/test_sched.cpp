@@ -1,7 +1,10 @@
 // Tests for the OpenMP loop-schedule calculators.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <numeric>
+#include <type_traits>
 
 #include "runtime/sched.hpp"
 #include "support/error.hpp"
@@ -9,12 +12,19 @@
 namespace ompfuzz::rt {
 namespace {
 
+// gtest names each case by a byte dump of its parameter, so the padding is
+// spelled out and zeroed: implicit padding put stack bytes into test names.
 struct SchedCase {
+  constexpr SchedCase(ScheduleKind k, std::int64_t n_, int t, std::int64_t c)
+      : kind(k), n(n_), threads(t), chunk(c) {}
   ScheduleKind kind;
+  std::array<std::uint8_t, 7> pad0{};
   std::int64_t n;
   int threads;
+  std::int32_t pad1 = 0;
   std::int64_t chunk;
 };
+static_assert(std::has_unique_object_representations_v<SchedCase>);
 
 class ScheduleCoverage : public ::testing::TestWithParam<SchedCase> {};
 
