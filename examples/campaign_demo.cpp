@@ -58,10 +58,11 @@
 // extreme outliers, and writes a machine-readable JSON report next to the
 // binary.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "harness/campaign.hpp"
@@ -104,9 +105,22 @@ clang = profile: libomp
 intel = profile: libiomp5
 )";
 
-}  // namespace
+/// Checked numeric flag values, parsed by the config file's rules so
+/// garbage ("2x", "") is a ConfigError instead of a silent prefix or zero.
+std::int64_t int_flag(const char* flag, const char* text, std::int64_t min_value,
+                      std::int64_t max_value) {
+  ompfuzz::ConfigFile args;
+  args.set(flag, text);
+  return args.get_int(flag, 0, min_value, max_value);
+}
 
-int main(int argc, char** argv) {
+double number_flag(const char* flag, const char* text) {
+  ompfuzz::ConfigFile args;
+  args.set(flag, text);
+  return args.get_double(flag, 0.0);
+}
+
+int run_demo(int argc, char** argv) {
   using namespace ompfuzz;
 
   bool resume = false;
@@ -126,12 +140,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[a], "--backends") == 0) {
       // Must not fall through to the config-path branch on a missing value:
       // "--backends" would silently become the config file path.
-      backends_override = a + 1 < argc ? std::atoi(argv[++a]) : 0;
-      if (backends_override < 1) {
-        throw ConfigError("--backends needs a positive count");
-      }
+      if (a + 1 >= argc) throw ConfigError("--backends needs a positive count");
+      backends_override = static_cast<int>(int_flag(
+          "--backends", argv[++a], 1, std::numeric_limits<int>::max()));
     } else if (std::strcmp(argv[a], "--inject-faults") == 0) {
-      fault_rate_override = a + 1 < argc ? std::atof(argv[++a]) : -1.0;
+      if (a + 1 >= argc) throw ConfigError("--inject-faults needs a rate in [0, 1]");
+      fault_rate_override = number_flag("--inject-faults", argv[++a]);
       if (fault_rate_override < 0.0 || fault_rate_override > 1.0) {
         throw ConfigError("--inject-faults needs a rate in [0, 1]");
       }
@@ -358,4 +372,15 @@ int main(int argc, char** argv) {
   json << harness::to_json(result);
   std::printf("full JSON report written to %s\n", json_path.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_demo(argc, argv);
+  } catch (const ompfuzz::ConfigError& e) {
+    std::fprintf(stderr, "campaign_demo: %s\n", e.what());
+    return 2;
+  }
 }

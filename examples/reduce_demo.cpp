@@ -17,23 +17,50 @@
 //
 // Exits 0 only if at least one triple reproduced its divergence and every
 // reproduced triple shrank — the CI smoke step relies on this.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 
 #include "harness/campaign.hpp"
 #include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
 #include "reduce/campaign_reduce.hpp"
+#include "support/config.hpp"
+#include "support/error.hpp"
 #include "support/result_store.hpp"
+
+namespace {
+
+/// Checked integer argument, parsed by the config file's rules so garbage
+/// ("8x", "") is a ConfigError instead of a silent prefix or zero.
+std::int64_t int_arg(const char* name, const char* text, std::int64_t min_value,
+                     std::int64_t max_value) {
+  ompfuzz::ConfigFile args;
+  args.set(name, text);
+  return args.get_int(name, 0, min_value, max_value);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace ompfuzz;
 
   CampaignConfig cfg;
-  cfg.num_programs = argc > 1 ? std::atoi(argv[1]) : 8;
-  cfg.seed = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 51966;
+  try {
+    cfg.num_programs =
+        argc > 1 ? static_cast<int>(int_arg("num_programs", argv[1], 1,
+                                            std::numeric_limits<int>::max()))
+                 : 8;
+    cfg.seed = argc > 2 ? static_cast<std::uint64_t>(int_arg(
+                              "seed", argv[2], std::numeric_limits<std::int64_t>::min(),
+                              std::numeric_limits<std::int64_t>::max()))
+                        : 51966;
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "reduce_demo: %s\n", e.what());
+    return 2;
+  }
   cfg.inputs_per_program = 3;
   cfg.generator.max_loop_trip_count = 100;
   cfg.threads = 0;

@@ -3,8 +3,8 @@
 // The kinds predate the MHP analyzer — they were introduced by the original
 // pattern-rule checker — and are kept stable because campaign reports, the
 // reducer's rejection messages, and the golden-finding corpus all key off
-// them. core/race_checker.hpp re-exports these names into ompfuzz::core so
-// existing call sites compile unchanged.
+// them. Callers (the campaign's draft filter, the reducer's static
+// rejection path) use analysis::analyze_races and these names directly.
 #pragma once
 
 #include <string>

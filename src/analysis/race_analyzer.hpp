@@ -10,8 +10,8 @@
 //      may happen in parallel (phase_model.hpp), and — for arrays — the
 //      subscripts are not provably disjoint.
 // Conflicts are then folded into the stable RaceKind vocabulary
-// (findings.hpp) so every consumer of check_races sees the same report
-// shape the pattern-rule checker produced.
+// (findings.hpp) so every consumer sees the same report shape the
+// pattern-rule checker produced.
 //
 // Finding order is deterministic: regions in pre-order; per region the
 // uninitialized-private findings (first-read order), then scalar conflicts

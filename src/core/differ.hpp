@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,7 +24,7 @@
 namespace ompfuzz::core {
 
 struct DiffTolerance {
-  std::int64_t max_ulps = 16;    ///< ULP budget for "same result"
+  std::uint64_t max_ulps = 16;   ///< ULP budget for "same result"
   double max_rel_error = 1e-12;  ///< alternative relative-error budget
 };
 
@@ -37,15 +38,18 @@ struct DiffTolerance {
 struct OutputComparison {
   bool bitwise_equal = false;
   bool both_nan = false;
-  std::int64_t ulp_distance = -1;  ///< -1 when not meaningful (NaN/Inf mix)
+  /// UINT64_MAX when not meaningful (NaN/Inf mix); finite distances never
+  /// reach it.
+  std::uint64_t ulp_distance = std::numeric_limits<std::uint64_t>::max();
   double rel_error = 0.0;
   bool equivalent = false;  ///< the verdict under the tolerance
 };
 
 /// Distance in units-in-the-last-place between two finite doubles, using the
 /// monotone integer mapping of IEEE-754 (sign-magnitude to offset binary).
-/// +0.0 and -0.0 are 0 apart.
-[[nodiscard]] std::int64_t ulp_distance(double a, double b) noexcept;
+/// +0.0 and -0.0 are 0 apart. Unsigned because the widest distance,
+/// -DBL_MAX to DBL_MAX, is just under 2^64.
+[[nodiscard]] std::uint64_t ulp_distance(double a, double b) noexcept;
 
 [[nodiscard]] OutputComparison compare_outputs(double a, double b,
                                                const DiffTolerance& tol = {}) noexcept;

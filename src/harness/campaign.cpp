@@ -1,6 +1,7 @@
 #include "harness/campaign.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -9,7 +10,6 @@
 #include <thread>
 
 #include "analysis/race_analyzer.hpp"
-#include "core/race_checker.hpp"
 #include "emit/codegen.hpp"
 #include "support/error.hpp"
 #include "support/fault_injection.hpp"
@@ -88,31 +88,50 @@ TestCase Campaign::make_test_case(int program_index) const {
   test.seed = program_rng.next_u64();
   // Regenerate racy drafts: the paper filtered race cases manually
   // (Section III, Limitations); the automated pipeline regenerates instead
-  // so every shipped test is race-free by the static checker.
+  // so every shipped test is race-free by the static checker. Each draft is
+  // analyzed once, and its result is tallied into test.analysis — the
+  // campaign's static-analysis accounting is the sum of these tallies.
   constexpr int kMaxAttempts = 16;
+  analysis::AnalyzerStats interval_stats;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     const std::uint64_t seed = hash_combine(test.seed, attempt);
     ast::Program candidate = generator_.generate(
         "test_" + std::to_string(program_index), seed);
     telemetry::ScopedSpan check_span("analysis", "check_races");
     const auto t0 = std::chrono::steady_clock::now();
-    const bool race_free = core::check_races(candidate).race_free();
+    const analysis::RaceReport report = analysis::analyze_races(
+        candidate, analysis::AnalyzeOptions{}, &interval_stats);
     metrics_.analysis_nanos->add(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)
             .count()));
+    const bool race_free = report.race_free();
     if (check_span.active()) {
       check_span.arg("fingerprint",
                      telemetry::hex_fingerprint(candidate.fingerprint()));
       check_span.arg("race_free", race_free ? "yes" : "no");
     }
+    ++test.analysis.programs_checked;
     if (race_free) {
       test.program = std::move(candidate);
       test.regeneration_attempts = attempt;
       break;
     }
+    ++test.analysis.programs_filtered;
+    for (const auto& finding : report.findings) {
+      ++test.analysis.findings_by_kind[static_cast<std::size_t>(finding.kind)];
+    }
     OMPFUZZ_CHECK(attempt + 1 < kMaxAttempts,
                   "could not generate a race-free program in 16 attempts");
+  }
+  test.analysis.interval_disjoint_pairs = interval_stats.interval_disjoint_pairs;
+  test.analysis.interval_mod_rewrites = interval_stats.mod_rewrites;
+  // Interval-precision delta: the accepted draft is the only race-free one,
+  // so it is the only draft the affine-only baseline can disagree on.
+  analysis::AnalyzeOptions affine_only;
+  affine_only.use_intervals = false;
+  if (!analysis::analyze_races(test.program, affine_only).race_free()) {
+    test.analysis.interval_rescued_drafts = 1;
   }
   test.features = ast::analyze(test.program);
 
@@ -134,30 +153,40 @@ TestCase Campaign::make_test_case(int program_index) const {
 namespace {
 
 /// Everything one (program, backend) unit produces: the raw runs of that
-/// backend's implementation subset, input-major. Classification happens
-/// after ALL backends of a program completed — the outlier analysis compares
-/// an implementation against the whole team, which spans backends.
+/// backend's implementation subset, input-major, plus the metadata of the
+/// program they ran. Classification happens after ALL backends of a program
+/// completed — the outlier analysis compares an implementation against the
+/// whole team, which spans backends.
 struct SubShard {
   bool done = false;
   /// Any run fabricated by a harness failure (compile/spawn infrastructure
   /// error): the sub-shard is merged like any other but never journaled —
   /// resuming must re-execute it rather than replay the transient failure.
   bool tainted = false;
-  int regeneration_attempts = 0;
   std::uint64_t fingerprint = 0;
   std::string program_name;
   std::vector<std::string> input_texts;  ///< one per input
+  /// The program's draft-analysis tally, the same in every sub-shard of one
+  /// program; the merge counts it once.
+  StaticAnalysisStats analysis;
   std::vector<core::RunResult> runs;     ///< inputs x backend impls, input-major
 };
 
-/// One program's merged result, assembled in program order by the merge
-/// phase so a scheduled campaign is bit-identical to a serial one.
-struct MergedShard {
-  std::vector<TestOutcome> outcomes;
-  std::vector<DivergentTriple> divergent;
-  std::uint64_t program_fingerprint = 0;
-  int regeneration_attempts = 0;
-};
+/// A sub-shard describing `test` — program fingerprint, name, input
+/// serializations and draft-analysis tally — with no runs yet. Executed,
+/// fabricated and restored sub-shards all take their metadata from here, so
+/// every sub-shard of a program describes the program generated today.
+SubShard shard_for(const TestCase& test) {
+  SubShard shard;
+  shard.fingerprint = test.program.fingerprint();
+  shard.program_name = test.program.name();
+  shard.input_texts.reserve(test.inputs.size());
+  for (const auto& input : test.inputs) {
+    shard.input_texts.push_back(input.to_string());
+  }
+  shard.analysis = test.analysis;
+  return shard;
+}
 
 /// Computes the verdict and output divergence of one outcome from its raw
 /// runs. Deterministic, so outcomes restored from the checkpoint journal or
@@ -181,25 +210,15 @@ core::VerdictClass outcome_class(const TestOutcome& outcome) {
   return core::classify_runs(outcome.runs, outcome.divergence);
 }
 
-/// Retains every divergent (program, input) pair of one shard — AST clone,
-/// input values, emitted source — so the reducer and the reports can work
-/// from the campaign's own artifacts instead of re-generating from the seed.
-void collect_divergent(MergedShard& shard, const TestCase& test, int p) {
+/// Retains every divergent (program, input) pair of one program — AST
+/// clone, input values, emitted source — so the reducer and the reports can
+/// work from the campaign's own artifacts instead of re-generating from the
+/// seed.
+void collect_divergent(const std::vector<TestOutcome>& outcomes,
+                       const TestCase& test, int p,
+                       std::vector<DivergentTriple>& out) {
   std::string source;  // emitted once, shared by all divergent inputs
-  for (const TestOutcome& outcome : shard.outcomes) {
-    if (outcome.input_index < 0 ||
-        static_cast<std::size_t>(outcome.input_index) >= test.inputs.size()) {
-      continue;  // journal-restored index beyond this campaign's inputs
-    }
-    // The retained input must be the one the runs observed. Always true on
-    // the live path; on the resume path a changed input generator would
-    // regenerate different values than the journaled serialization (the
-    // program fingerprint check upstream cannot see that) — drop the triple
-    // rather than pair old verdicts with a wrong input.
-    if (test.inputs[static_cast<std::size_t>(outcome.input_index)].to_string() !=
-        outcome.input_text) {
-      continue;
-    }
+  for (const TestOutcome& outcome : outcomes) {
     const core::VerdictClass cls = outcome_class(outcome);
     if (!cls.divergent()) continue;
     if (source.empty()) source = emit::emit_translation_unit(test.program);
@@ -212,7 +231,7 @@ void collect_divergent(MergedShard& shard, const TestCase& test, int p) {
     triple.source = source;
     triple.input_text = outcome.input_text;
     triple.verdict_class = cls;
-    shard.divergent.push_back(std::move(triple));
+    out.push_back(std::move(triple));
   }
 }
 
@@ -229,15 +248,215 @@ core::RunResult fabricated_run(const std::string& impl_name) {
   return result;
 }
 
-/// Retry accounting a unit feeds while it re-dispatches failed triples:
-/// cached registry-counter references owned by the campaign.
-struct UnitRetryCounters {
-  telemetry::Counter* retried_triples = nullptr;
-  telemetry::Counter* retry_rounds = nullptr;
+/// Sub-shard of a dead backend with no compatible spare: every run is a
+/// fabricated harness failure, but the program metadata is still generated
+/// for real so the merge sees the same program every healthy backend sees.
+/// Always tainted — never journaled.
+SubShard fabricate_shard_unit(const Campaign& campaign,
+                              const std::vector<std::string>& impl_names,
+                              int p) {
+  SubShard shard = shard_for(campaign.make_test_case(p));
+  shard.runs.reserve(shard.input_texts.size() * impl_names.size());
+  for (std::size_t i = 0; i < shard.input_texts.size(); ++i) {
+    for (const auto& name : impl_names) {
+      shard.runs.push_back(fabricated_run(name));
+    }
+  }
+  shard.tainted = true;
+  shard.done = true;
+  return shard;
+}
+
+/// Journal record of one completed sub-shard (raw runs only; verdicts are
+/// recomputed on restore).
+StoredShard to_stored(const SubShard& shard, int p, int backend_index) {
+  StoredShard out;
+  out.program_index = p;
+  out.backend_index = backend_index;
+  out.regeneration_attempts = shard.analysis.programs_filtered;
+  out.program_fingerprint = shard.fingerprint;
+  const std::size_t ni = shard.input_texts.size();
+  const std::size_t nj = ni == 0 ? 0 : shard.runs.size() / ni;
+  out.outcomes.reserve(ni);
+  for (std::size_t i = 0; i < ni; ++i) {
+    StoredOutcome stored;
+    stored.input_index = static_cast<int>(i);
+    stored.program_name = shard.program_name;
+    stored.input_text = shard.input_texts[i];
+    stored.runs.assign(shard.runs.begin() + static_cast<std::ptrdiff_t>(i * nj),
+                       shard.runs.begin() + static_cast<std::ptrdiff_t>((i + 1) * nj));
+    out.outcomes.push_back(std::move(stored));
+  }
+  return out;
+}
+
+/// True if a journal record was written for the program `current` describes:
+/// same fingerprint, and the same name and serialization for every input.
+/// The journal parse already checked that outcomes are slotted 0..n-1.
+bool describes(const StoredShard& stored, const SubShard& current) {
+  if (stored.program_fingerprint != current.fingerprint ||
+      stored.outcomes.size() != current.input_texts.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < stored.outcomes.size(); ++i) {
+    if (stored.outcomes[i].program_name != current.program_name ||
+        stored.outcomes[i].input_text != current.input_texts[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+/// Per-run state shared by the stages of Campaign::run.
+struct Campaign::RunState {
+  /// A backend whose units keep coming back fully exhausted (tainted even
+  /// after run_on's retries) is declared dead after
+  /// `retry.backend_death_threshold` consecutive tainted sub-shards. From
+  /// then on its units go to a matching failover spare — or, with no spare,
+  /// are fabricated without touching the executor and surface as
+  /// quarantined triples plus a lost_backends entry.
+  struct BackendHealth {
+    std::atomic<int> consecutive{0};
+    std::atomic<bool> dead{false};
+  };
+
+  explicit RunState(Campaign& owner);
+
+  /// Executes unit (b, p) through whatever path backend b's health
+  /// dictates, updating the health streak on the primary path.
+  SubShard execute_unit(std::size_t b, int p);
+
+  /// Runs unit (b, p) on `executor`; see the definition.
+  SubShard run_on(Executor& executor, std::mutex* exec_mutex, std::size_t b,
+                  int p, const std::atomic<bool>* backend_dead);
+
+  /// Journals a completed sub-shard. Appends never abort the campaign: a
+  /// failed append only means this unit re-executes on resume, which is
+  /// strictly better than tearing the run down from a worker thread. A
+  /// sub-shard tainted by a harness failure is not journaled: resuming must
+  /// re-execute it rather than replay the transient failure as an
+  /// observation.
+  void journal_append(const SubShard& shard, int p, std::size_t b);
+
+  Campaign& campaign;
+  telemetry::ScopedSpan span{"campaign", "run"};
+  std::size_t nb = 0;
+  std::size_t np = 0;
+  std::size_t ni = 0;
+  /// Implementation layout: backends in order, implementations in executor
+  /// order within each — the canonical column order of every merged
+  /// outcome — with the store identity of each implementation alongside.
+  std::vector<std::vector<std::string>> impls;
+  std::vector<std::vector<std::string>> identities;
+  bool identities_known = true;
+  /// Per-backend serialization for executors that are not thread-safe;
+  /// other backends' units keep running in parallel around them.
+  std::vector<std::unique_ptr<std::mutex>> exec_mutexes;
+  std::vector<BackendHealth> health;
+  /// Failover spare index per backend (-1: none) and the spares' mutexes.
+  std::vector<int> spare_for;
+  std::vector<std::unique_ptr<std::mutex>> spare_mutexes;
+  /// Sub-shards, indexed [program][backend].
+  std::vector<std::vector<SubShard>> grid;
 };
 
-/// Generates program `p` and runs every (input, implementation) pair of ONE
-/// backend's implementation subset that is not already in the result store.
+Campaign::RunState::RunState(Campaign& owner)
+    : campaign(owner),
+      nb(owner.backends_.size()),
+      np(static_cast<std::size_t>(owner.config_.num_programs)),
+      ni(static_cast<std::size_t>(owner.config_.inputs_per_program)),
+      impls(nb), identities(nb), exec_mutexes(nb), health(nb),
+      spare_for(nb, -1), spare_mutexes(owner.failover_.size()),
+      grid(np, std::vector<SubShard>(nb)) {
+  // Fresh telemetry baselines for this run: the registry counters are
+  // process-wide and monotonic, so the per-run accessors
+  // (robustness_counters, run_metrics) subtract the values captured here.
+  // analysis_nanos keeps its construction-time baseline — analysis_seconds()
+  // covers every draft this campaign generated, run() or not.
+  const Metrics& metrics = owner.metrics_;
+  owner.metrics_base_ = telemetry::Registry::global().snapshot();
+  owner.counters_base_.retried_triples = metrics.retried_triples->value();
+  owner.counters_base_.retry_rounds = metrics.retry_rounds->value();
+  owner.counters_base_.failover_units = metrics.failover_units->value();
+  owner.counters_base_.fabricated_units = metrics.fabricated_units->value();
+  owner.counters_base_.journal_failures = metrics.journal_failures->value();
+  metrics.live_backends->set(static_cast<std::int64_t>(nb));
+
+  for (std::size_t b = 0; b < nb; ++b) {
+    Executor& executor = *owner.backends_[b].executor;
+    impls[b] = executor.implementations();
+    for (const auto& name : impls[b]) {
+      identities[b].push_back(
+          store_impl_identity(name, executor.impl_identity(name)));
+      if (identities[b].back().empty()) identities_known = false;
+    }
+    if (!executor.thread_safe()) exec_mutexes[b] = std::make_unique<std::mutex>();
+  }
+
+  // Spare assignment: each backend gets the first unclaimed spare whose
+  // implementation list and per-name cache identities match it exactly —
+  // the condition under which substitution is invisible in the merged
+  // result (identical RunKeys, identical report columns).
+  std::vector<char> spare_taken(owner.failover_.size(), 0);
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t s = 0; s < owner.failover_.size(); ++s) {
+      const Executor& spare = *owner.failover_[s];
+      if (spare_taken[s] || spare.implementations() != impls[b]) continue;
+      bool identical = true;
+      for (std::size_t j = 0; j < impls[b].size() && identical; ++j) {
+        identical = store_impl_identity(impls[b][j],
+                                        spare.impl_identity(impls[b][j])) ==
+                    identities[b][j];
+      }
+      if (!identical) continue;
+      spare_taken[s] = 1;
+      spare_for[b] = static_cast<int>(s);
+      if (!spare.thread_safe()) spare_mutexes[s] = std::make_unique<std::mutex>();
+      break;
+    }
+  }
+}
+
+SubShard Campaign::RunState::execute_unit(std::size_t b, int p) {
+  if (health[b].dead.load(std::memory_order_acquire)) {
+    if (spare_for[b] >= 0) {
+      const auto s = static_cast<std::size_t>(spare_for[b]);
+      campaign.metrics_.failover_units->add();
+      return run_on(*campaign.failover_[s], spare_mutexes[s].get(), b, p, nullptr);
+    }
+    campaign.metrics_.fabricated_units->add();
+    return fabricate_shard_unit(campaign, impls[b], p);
+  }
+  SubShard shard = run_on(*campaign.backends_[b].executor,
+                          exec_mutexes[b].get(), b, p, &health[b].dead);
+  if (shard.tainted) {
+    const int streak =
+        health[b].consecutive.fetch_add(1, std::memory_order_acq_rel) + 1;
+    if (streak >= campaign.config_.retry.backend_death_threshold &&
+        !health[b].dead.exchange(true, std::memory_order_release)) {
+      campaign.metrics_.live_backends->add(-1);
+    }
+  } else {
+    health[b].consecutive.store(0, std::memory_order_relaxed);
+  }
+  return shard;
+}
+
+void Campaign::RunState::journal_append(const SubShard& shard, int p,
+                                        std::size_t b) {
+  if (campaign.journal_ == nullptr || shard.tainted) return;
+  try {
+    campaign.journal_->append(to_stored(shard, p, static_cast<int>(b)));
+  } catch (const std::exception&) {
+    campaign.metrics_.journal_failures->add();
+  }
+}
+
+/// Generates program `p` and runs every (input, implementation) pair of
+/// backend `b`'s implementation subset on `executor` (the backend's own or
+/// its failover spare) that is not already in the result store.
 /// Pure function of the campaign config, the backend's executor, and the
 /// store contents (the store only ever holds what the executor would have
 /// produced); `exec_mutex` serializes executor calls when the backend is not
@@ -259,38 +478,25 @@ struct UnitRetryCounters {
 /// TestCase would hold up to num_programs ASTs live at once, and generation
 /// is a bounded CPU cost per unit where the executed runs (compiles, test
 /// children, interpretation) dominate.
-SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
-                        std::mutex* exec_mutex,
-                        const std::vector<std::string>& impl_names,
-                        const std::vector<std::string>& impl_identities,
-                        ResultStore* store, int p, int backend_index = 0,
-                        const UnitRetryCounters* counters = nullptr,
-                        const std::atomic<bool>* backend_dead = nullptr) {
+SubShard Campaign::RunState::run_on(Executor& executor, std::mutex* exec_mutex,
+                                    std::size_t b, int p,
+                                    const std::atomic<bool>* backend_dead) {
   telemetry::ScopedSpan span("run-batch", "shard_unit");
-  SubShard shard;
   const TestCase test = campaign.make_test_case(p);
+  SubShard shard = shard_for(test);
   if (span.active()) {
     span.arg("program", p);
-    span.arg("backend", backend_index);
-    span.arg("fingerprint",
-             telemetry::hex_fingerprint(test.program.fingerprint()));
+    span.arg("backend", static_cast<int>(b));
+    span.arg("fingerprint", telemetry::hex_fingerprint(shard.fingerprint));
   }
-  shard.regeneration_attempts = test.regeneration_attempts;
-  shard.program_name = test.program.name();
 
-  const std::size_t ni =
-      static_cast<std::size_t>(campaign.config().inputs_per_program);
+  ResultStore* const store = campaign.store_;
+  const std::vector<std::string>& impl_names = impls[b];
+  const std::vector<std::string>& impl_identities = identities[b];
+  const std::size_t ni = shard.input_texts.size();
   const std::size_t nj = impl_names.size();
-  const std::uint64_t fingerprint = test.program.fingerprint();
-  shard.fingerprint = fingerprint;
-
-  shard.input_texts.resize(ni);
-  for (std::size_t i = 0; i < ni; ++i) {
-    shard.input_texts[i] = test.inputs[i].to_string();
-  }
-
   const auto key_for = [&](std::size_t i, std::size_t j) {
-    return RunKey{fingerprint, shard.input_texts[i], impl_identities[j]};
+    return RunKey{shard.fingerprint, shard.input_texts[i], impl_identities[j]};
   };
 
   // Consult the run cache triple-by-triple. An implementation with an empty
@@ -413,10 +619,8 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
     if (backend_dead != nullptr && backend_dead->load(std::memory_order_acquire)) {
       break;  // the campaign's failover/quarantine path takes over
     }
-    if (counters != nullptr) {
-      counters->retry_rounds->add();
-      counters->retried_triples->add(failed);
-    }
+    campaign.metrics_.retry_rounds->add();
+    campaign.metrics_.retried_triples->add(failed);
     if (delay_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
     }
@@ -432,76 +636,6 @@ SubShard run_shard_unit(const Campaign& campaign, Executor& executor,
   shard.done = true;
   return shard;
 }
-
-/// Sub-shard of a dead backend with no compatible spare: every run is a
-/// fabricated harness failure, but the program metadata (name, fingerprint,
-/// input serializations, regeneration count) is still generated for real so
-/// the merge and the split-invariant static-analysis accounting see the same
-/// program every healthy backend sees. Always tainted — never journaled.
-SubShard fabricate_shard_unit(const Campaign& campaign,
-                              const std::vector<std::string>& impl_names,
-                              int p) {
-  SubShard shard;
-  const TestCase test = campaign.make_test_case(p);
-  shard.regeneration_attempts = test.regeneration_attempts;
-  shard.program_name = test.program.name();
-  shard.fingerprint = test.program.fingerprint();
-  const auto ni = static_cast<std::size_t>(campaign.config().inputs_per_program);
-  shard.input_texts.resize(ni);
-  for (std::size_t i = 0; i < ni; ++i) {
-    shard.input_texts[i] = test.inputs[i].to_string();
-  }
-  shard.runs.reserve(ni * impl_names.size());
-  for (std::size_t i = 0; i < ni; ++i) {
-    for (const auto& name : impl_names) {
-      shard.runs.push_back(fabricated_run(name));
-    }
-  }
-  shard.tainted = true;
-  shard.done = true;
-  return shard;
-}
-
-/// Journal record of one completed sub-shard (raw runs only; verdicts are
-/// recomputed on restore).
-StoredShard to_stored(const SubShard& shard, int p, int backend_index) {
-  StoredShard out;
-  out.program_index = p;
-  out.backend_index = backend_index;
-  out.regeneration_attempts = shard.regeneration_attempts;
-  out.program_fingerprint = shard.fingerprint;
-  const std::size_t ni = shard.input_texts.size();
-  const std::size_t nj = ni == 0 ? 0 : shard.runs.size() / ni;
-  out.outcomes.reserve(ni);
-  for (std::size_t i = 0; i < ni; ++i) {
-    StoredOutcome stored;
-    stored.input_index = static_cast<int>(i);
-    stored.program_name = shard.program_name;
-    stored.input_text = shard.input_texts[i];
-    stored.runs.assign(shard.runs.begin() + static_cast<std::ptrdiff_t>(i * nj),
-                       shard.runs.begin() + static_cast<std::ptrdiff_t>((i + 1) * nj));
-    out.outcomes.push_back(std::move(stored));
-  }
-  return out;
-}
-
-/// Rebuilds a SubShard from a journal record (already validated by the
-/// journal parse: outcomes slotted 0..n-1, one run per backend impl).
-SubShard from_stored(const StoredShard& stored) {
-  SubShard shard;
-  shard.regeneration_attempts = stored.regeneration_attempts;
-  shard.fingerprint = stored.program_fingerprint;
-  shard.input_texts.reserve(stored.outcomes.size());
-  for (const auto& outcome : stored.outcomes) {
-    if (shard.program_name.empty()) shard.program_name = outcome.program_name;
-    shard.input_texts.push_back(outcome.input_text);
-    shard.runs.insert(shard.runs.end(), outcome.runs.begin(), outcome.runs.end());
-  }
-  shard.done = true;
-  return shard;
-}
-
-}  // namespace
 
 void Campaign::add_failover(Executor* spare) {
   OMPFUZZ_CHECK(spare != nullptr, "failover spare needs an executor");
@@ -532,24 +666,31 @@ std::uint64_t Campaign::checkpoint_key() const {
   const auto& g = config_.generator;
   // v2 covers the backend split: sub-shard ownership is part of the journal
   // contract, so a re-split campaign starts a fresh journal instead of
-  // restoring records to the wrong backend.
-  std::string material = "ompfuzz-campaign v2";
+  // restoring records to the wrong backend. v3 covers the feature gates and
+  // feature probabilities, which change the program stream too.
+  std::string material = "ompfuzz-campaign v3";
   material += ";seed=" + std::to_string(config_.seed);
   material += ";inputs_per_program=" + std::to_string(config_.inputs_per_program);
+  const auto flag = [](bool on) { return on ? "1" : "0"; };
   material += ";gen=" + std::to_string(g.max_expression_size) + "," +
               std::to_string(g.max_nesting_levels) + "," +
               std::to_string(g.max_lines_in_block) + "," +
               std::to_string(g.array_size) + "," +
               std::to_string(g.max_same_level_blocks) + "," +
-              (g.math_func_allowed ? "1" : "0") + "," +
+              flag(g.math_func_allowed) + "," +
               format_double(g.math_func_probability) + "," +
-              std::to_string(g.input_samples_per_run) + "," +
               std::to_string(g.num_threads) + "," +
               std::to_string(g.max_loop_trip_count) + "," +
               format_double(g.p_if_block) + "," + format_double(g.p_for_block) +
               "," + format_double(g.p_openmp_block) + "," +
               format_double(g.p_reduction) + "," + format_double(g.p_critical) +
               "," + format_double(g.p_parallel_in_loop);
+  material += ";features=" + std::string(flag(g.enable_atomic)) +
+              flag(g.enable_single) + flag(g.enable_master) +
+              flag(g.enable_schedule) + flag(g.enable_rangeidx) + "," +
+              format_double(g.p_atomic) + "," + format_double(g.p_single) +
+              "," + format_double(g.p_master) + "," +
+              format_double(g.p_schedule) + "," + format_double(g.p_rangeidx);
   for (const auto& backend : backends_) {
     material += ";backend=" + backend.name;
     for (const auto& name : backend.executor->implementations()) {
@@ -560,24 +701,158 @@ std::uint64_t Campaign::checkpoint_key() const {
 }
 
 CampaignResult Campaign::run(const ProgressFn& progress) {
-  const std::size_t nb = backends_.size();
-  const auto np = static_cast<std::size_t>(config_.num_programs);
-  const auto ni = static_cast<std::size_t>(config_.inputs_per_program);
+  RunState state(*this);
+  restore(state);
+  execute(state, progress);
+  CampaignResult result = merge(state);
+  gc(state);
+  return result;
+}
 
-  // Implementation layout: backends in order, implementations in executor
-  // order within each — the canonical column order of every merged outcome.
-  std::vector<std::vector<std::string>> backend_impls(nb);
-  std::vector<std::vector<std::string>> backend_identities(nb);
+void Campaign::restore(RunState& state) {
+  resumed_programs_ = 0;
+  if (journal_ == nullptr) return;
+  telemetry::ScopedSpan span("campaign", "restore");
+  // Resuming needs every implementation's cache identity: checkpoint_key()
+  // cannot otherwise detect that an identity-less executor was reconfigured
+  // between runs, and stale sub-shards would masquerade as results of the
+  // new configuration. Such campaigns still journal (the records describe
+  // this run faithfully) — they just never restore.
+  std::vector<JournalBackend> journal_backends;
+  journal_backends.reserve(state.nb);
+  for (std::size_t b = 0; b < state.nb; ++b) {
+    journal_backends.push_back({backends_[b].name, state.impls[b]});
+  }
+  const auto loaded = journal_->open(checkpoint_key(), journal_backends,
+                                     resume_ && state.identities_known);
+  // Later records win: a unit re-executed because its record was stale
+  // appends a fresh record for the same unit.
+  std::vector<std::vector<const StoredShard*>> records(
+      state.np, std::vector<const StoredShard*>(state.nb, nullptr));
+  for (const auto& stored : loaded) {
+    const int p = stored.program_index;
+    if (p < 0 || p >= config_.num_programs) continue;
+    records[static_cast<std::size_t>(p)]
+           [static_cast<std::size_t>(stored.backend_index)] = &stored;
+  }
+
+  // checkpoint_key() covers the configuration but not the generator or
+  // input-generator algorithm, so every record is checked against the
+  // program generated today — one make_test_case per program, which also
+  // supplies the draft-analysis tally. A record that disagrees is dropped
+  // and its unit joins the pending ones.
+  for (std::size_t p = 0; p < state.np; ++p) {
+    const auto& row = records[p];
+    if (std::all_of(row.begin(), row.end(),
+                    [](const StoredShard* r) { return r == nullptr; })) {
+      continue;
+    }
+    const SubShard current = shard_for(make_test_case(static_cast<int>(p)));
+    bool complete = true;
+    for (std::size_t b = 0; b < state.nb; ++b) {
+      if (row[b] == nullptr || !describes(*row[b], current)) {
+        complete = false;
+        continue;
+      }
+      SubShard& shard = state.grid[p][b];
+      shard = current;
+      for (const auto& outcome : row[b]->outcomes) {
+        shard.runs.insert(shard.runs.end(), outcome.runs.begin(), outcome.runs.end());
+      }
+      shard.done = true;
+    }
+    if (complete) ++resumed_programs_;
+  }
+}
+
+void Campaign::execute(RunState& state, const ProgressFn& progress) {
+  // Schedule the remaining units — one per (program, backend),
+  // deterministic in isolation thanks to the per-program RandomEngine::fork
+  // streams in make_test_case. Each completed unit is journaled durably
+  // before it counts as progress, so a kill can only lose in-flight units.
+  std::vector<std::vector<int>> pending(state.nb);
+  std::vector<std::atomic<int>> remaining(state.np);
+  std::size_t scheduled_units = 0;
+  for (std::size_t p = 0; p < state.np; ++p) {
+    int left = 0;
+    for (std::size_t b = 0; b < state.nb; ++b) {
+      if (!state.grid[p][b].done) {
+        pending[b].push_back(static_cast<int>(p));
+        ++left;
+      }
+    }
+    remaining[p].store(left, std::memory_order_relaxed);
+    scheduled_units += static_cast<std::size_t>(left);
+  }
+
+  int completed = resumed_programs_;
+  if (progress && completed > 0) progress(completed, config_.num_programs);
+  std::mutex progress_mutex;
+
+  // Live-progress gauges for the sampler/heartbeat: total units this run
+  // must execute (resumed ones are already done) and units finished so far.
+  metrics_.units_total->set(static_cast<std::int64_t>(scheduled_units));
+  metrics_.units_done->set(0);
+
+  const auto run_unit = [&](const ShardUnit& unit) {
+    const auto p = static_cast<std::size_t>(unit.program_index);
+    const std::size_t b = unit.backend;
+    const std::uint64_t t0 = telemetry::Tracer::now_ns();
+    SubShard shard = state.execute_unit(b, unit.program_index);
+    metrics_.unit_micros->record((telemetry::Tracer::now_ns() - t0) / 1000);
+    state.journal_append(shard, unit.program_index, b);
+    state.grid[p][b] = std::move(shard);
+    metrics_.units_done->add(1);
+    if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) == 1 && progress) {
+      const std::lock_guard<std::mutex> lock(progress_mutex);
+      progress(++completed, config_.num_programs);
+    }
+  };
+
+  const ShardScheduler scheduler(state.nb, scheduler_,
+                                 resolve_thread_count(config_.threads));
+  {
+    telemetry::ScopedSpan schedule_span("campaign", "schedule");
+    if (schedule_span.active()) {
+      schedule_span.arg("units", static_cast<std::uint64_t>(scheduled_units));
+    }
+    scheduler_stats_ = scheduler.run(pending, run_unit);
+  }
+
+  // Failover sweep: units of a dead backend that exhausted their retries
+  // BEFORE the death was detected (the streak that killed it) are re-run on
+  // its spare, restoring the exact runs a healthy campaign would have
+  // produced — a backend lost mid-campaign with a compatible spare leaves no
+  // trace in the merged result. Dead backends without a spare keep their
+  // fabricated columns; the merge reports them as lost.
+  for (std::size_t b = 0; b < state.nb; ++b) {
+    if (!state.health[b].dead.load(std::memory_order_acquire) ||
+        state.spare_for[b] < 0) {
+      continue;
+    }
+    for (std::size_t p = 0; p < state.np; ++p) {
+      if (!state.grid[p][b].tainted) continue;
+      state.grid[p][b] = state.execute_unit(b, static_cast<int>(p));
+      state.journal_append(state.grid[p][b], static_cast<int>(p), b);
+    }
+  }
+}
+
+CampaignResult Campaign::merge(RunState& state) const {
+  // Ordered merge + aggregation. Every program's sub-shards are joined —
+  // backend columns concatenated per input row — classified, and counted in
+  // program order, so the result does not depend on the thread count, the
+  // batch size, the steal schedule, or sub-shard completion order. Every
+  // sub-shard of a row describes the same program (restore dropped any
+  // record that did not), so the first one speaks for the row.
+  telemetry::ScopedSpan span("campaign", "merge");
   CampaignResult result;
-  bool identities_known = true;
-  for (std::size_t b = 0; b < nb; ++b) {
-    backend_impls[b] = backends_[b].executor->implementations();
-    backend_identities[b].reserve(backend_impls[b].size());
-    for (const auto& name : backend_impls[b]) {
-      backend_identities[b].push_back(store_impl_identity(
-          name, backends_[b].executor->impl_identity(name)));
-      if (backend_identities[b].back().empty()) identities_known = false;
-      result.impl_names.push_back(name);
+  for (std::size_t b = 0; b < state.nb; ++b) {
+    result.impl_names.insert(result.impl_names.end(), state.impls[b].begin(),
+                             state.impls[b].end());
+    if (state.health[b].dead.load(std::memory_order_acquire) &&
+        state.spare_for[b] < 0) {
+      result.robustness.lost_backends.push_back(backends_[b].name);
     }
   }
   for (const auto& name : result.impl_names) result.per_impl[name];
@@ -588,314 +863,18 @@ CampaignResult Campaign::run(const ProgressFn& progress) {
   params.min_time_us = static_cast<double>(config_.min_time_us);
   const core::OutlierDetector detector(params);
 
-  // Per-backend serialization for executors that are not thread-safe; other
-  // backends' units keep running in parallel around them.
-  std::vector<std::unique_ptr<std::mutex>> exec_mutexes(nb);
-  for (std::size_t b = 0; b < nb; ++b) {
-    if (!backends_[b].executor->thread_safe()) {
-      exec_mutexes[b] = std::make_unique<std::mutex>();
-    }
-  }
-
-  // Fresh telemetry baselines for this run: the registry counters are
-  // process-wide and monotonic, so the per-run accessors
-  // (robustness_counters, run_metrics) subtract the values captured here.
-  // analysis_nanos keeps its construction-time baseline — analysis_seconds()
-  // covers every draft this campaign generated, run() or not.
-  metrics_base_ = telemetry::Registry::global().snapshot();
-  counters_base_.retried_triples = metrics_.retried_triples->value();
-  counters_base_.retry_rounds = metrics_.retry_rounds->value();
-  counters_base_.failover_units = metrics_.failover_units->value();
-  counters_base_.fabricated_units = metrics_.fabricated_units->value();
-  counters_base_.journal_failures = metrics_.journal_failures->value();
-  const UnitRetryCounters retry_counters{metrics_.retried_triples,
-                                         metrics_.retry_rounds};
-  telemetry::ScopedSpan run_span("campaign", "run");
-
-  // Backend health: a backend whose units keep coming back fully exhausted
-  // (tainted even after run_shard_unit's retries) is declared dead after
-  // `retry.backend_death_threshold` consecutive tainted sub-shards. From
-  // then on its units go to a matching failover spare — or, with no spare,
-  // are fabricated without touching the executor and surface as quarantined
-  // triples plus a lost_backends entry.
-  struct BackendHealth {
-    std::atomic<int> consecutive{0};
-    std::atomic<bool> dead{false};
-  };
-  std::vector<BackendHealth> health(nb);
-  metrics_.live_backends->set(static_cast<std::int64_t>(nb));
-
-  // Spare assignment: each backend gets the first unclaimed spare whose
-  // implementation list and per-name cache identities match it exactly —
-  // the condition under which substitution is invisible in the merged
-  // result (identical RunKeys, identical report columns).
-  std::vector<int> spare_for(nb, -1);
-  std::vector<std::unique_ptr<std::mutex>> spare_mutexes(failover_.size());
-  {
-    std::vector<char> spare_taken(failover_.size(), 0);
-    for (std::size_t b = 0; b < nb; ++b) {
-      for (std::size_t s = 0; s < failover_.size(); ++s) {
-        if (spare_taken[s]) continue;
-        if (failover_[s]->implementations() != backend_impls[b]) continue;
-        bool identical = true;
-        for (std::size_t j = 0; j < backend_impls[b].size(); ++j) {
-          if (store_impl_identity(backend_impls[b][j],
-                                  failover_[s]->impl_identity(
-                                      backend_impls[b][j])) !=
-              backend_identities[b][j]) {
-            identical = false;
-            break;
-          }
-        }
-        if (!identical) continue;
-        spare_taken[s] = 1;
-        spare_for[b] = static_cast<int>(s);
-        if (!failover_[s]->thread_safe()) {
-          spare_mutexes[s] = std::make_unique<std::mutex>();
-        }
-        break;
-      }
-    }
-  }
-
-  // Executes one (program, backend) unit through whatever path the backend's
-  // health dictates, updating the health streak on the primary path. Shared
-  // by the scheduler's run_unit, the merge-time staleness repair, and the
-  // post-scheduler failover sweep.
-  const auto execute_unit = [&](std::size_t b, int p) -> SubShard {
-    if (health[b].dead.load(std::memory_order_acquire)) {
-      const int s = spare_for[b];
-      if (s >= 0) {
-        metrics_.failover_units->add();
-        return run_shard_unit(*this, *failover_[static_cast<std::size_t>(s)],
-                              spare_mutexes[static_cast<std::size_t>(s)].get(),
-                              backend_impls[b], backend_identities[b], store_, p,
-                              static_cast<int>(b), &retry_counters, nullptr);
-      }
-      metrics_.fabricated_units->add();
-      return fabricate_shard_unit(*this, backend_impls[b], p);
-    }
-    SubShard shard = run_shard_unit(*this, *backends_[b].executor,
-                                    exec_mutexes[b].get(), backend_impls[b],
-                                    backend_identities[b], store_, p,
-                                    static_cast<int>(b), &retry_counters,
-                                    &health[b].dead);
-    if (shard.tainted) {
-      const int streak =
-          health[b].consecutive.fetch_add(1, std::memory_order_acq_rel) + 1;
-      if (streak >= config_.retry.backend_death_threshold) {
-        if (!health[b].dead.exchange(true, std::memory_order_release)) {
-          metrics_.live_backends->add(-1);
-        }
-      }
-    } else {
-      health[b].consecutive.store(0, std::memory_order_relaxed);
-    }
-    return shard;
-  };
-
-  // Journal appends never abort the campaign: a failed append only means
-  // this unit re-executes on resume, which is strictly better than tearing
-  // the run down from a worker thread.
-  const auto journal_append = [&](const SubShard& shard, int p, std::size_t b) {
-    if (journal_ == nullptr || shard.tainted) return;
-    try {
-      journal_->append(to_stored(shard, p, static_cast<int>(b)));
-    } catch (const std::exception&) {
-      metrics_.journal_failures->add();
-    }
-  };
-
-  // Phase 0: restore completed sub-shards from the checkpoint journal.
-  // Verdicts and divergence are recomputed from the stored raw runs by the
-  // same deterministic pass a cold run uses.
-  std::vector<std::vector<SubShard>> grid(np);
-  for (auto& row : grid) row.resize(nb);
-  resumed_programs_ = 0;
-  if (journal_ != nullptr) {
-    telemetry::ScopedSpan restore_span("campaign", "restore");
-    // Resuming needs every implementation's cache identity: checkpoint_key()
-    // cannot otherwise detect that an identity-less executor was
-    // reconfigured between runs, and stale sub-shards would masquerade as
-    // results of the new configuration. Such campaigns still journal (the
-    // records describe this run faithfully) — they just never restore.
-    std::vector<JournalBackend> journal_backends;
-    journal_backends.reserve(nb);
-    for (std::size_t b = 0; b < nb; ++b) {
-      journal_backends.push_back({backends_[b].name, backend_impls[b]});
-    }
-    const auto loaded = journal_->open(checkpoint_key(), journal_backends,
-                                       resume_ && identities_known);
-    for (const auto& stored : loaded) {
-      const int p = stored.program_index;
-      if (p < 0 || p >= config_.num_programs) continue;
-      if (stored.outcomes.size() != ni) continue;
-      // Later records win: a sub-shard re-executed after a merge-time
-      // staleness repair appends a fresh record for the same unit.
-      grid[static_cast<std::size_t>(p)][static_cast<std::size_t>(
-          stored.backend_index)] = from_stored(stored);
-    }
-    // Cross-backend consistency: restored sub-shards of one program must
-    // describe the same generated program (fingerprint, name, input
-    // serializations). Disagreement means at least one record predates a
-    // generator change — re-execute all of them rather than merge rows from
-    // two different programs.
-    for (auto& row : grid) {
-      const SubShard* reference = nullptr;
-      bool consistent = true;
-      for (const auto& sub : row) {
-        if (!sub.done) continue;
-        if (reference == nullptr) {
-          reference = &sub;
-        } else if (sub.fingerprint != reference->fingerprint ||
-                   sub.program_name != reference->program_name ||
-                   sub.input_texts != reference->input_texts) {
-          consistent = false;
-        }
-      }
-      if (!consistent) {
-        for (auto& sub : row) sub = SubShard{};
-      }
-    }
-    for (const auto& row : grid) {
-      if (std::all_of(row.begin(), row.end(),
-                      [](const SubShard& s) { return s.done; })) {
-        ++resumed_programs_;
-      }
-    }
-  }
-
-  // Phase 1: schedule the remaining units — one per (program, backend),
-  // deterministic in isolation thanks to the per-program RandomEngine::fork
-  // streams in make_test_case. Each completed unit is journaled durably
-  // before it counts as progress, so a kill can only lose in-flight units.
-  std::vector<std::vector<int>> pending(nb);
-  std::vector<std::atomic<int>> remaining(np);
-  for (std::size_t p = 0; p < np; ++p) {
-    int left = 0;
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (!grid[p][b].done) {
-        pending[b].push_back(static_cast<int>(p));
-        ++left;
-      }
-    }
-    remaining[p].store(left, std::memory_order_relaxed);
-  }
-
-  int completed = resumed_programs_;
-  if (progress && completed > 0) progress(completed, config_.num_programs);
-  std::mutex progress_mutex;
-
-  // Live-progress gauges for the sampler/heartbeat: total units this run
-  // must execute (resumed ones are already done) and units finished so far.
-  std::size_t scheduled_units = 0;
-  for (const auto& list : pending) scheduled_units += list.size();
-  metrics_.units_total->set(static_cast<std::int64_t>(scheduled_units));
-  metrics_.units_done->set(0);
-
-  const auto run_unit = [&](const ShardUnit& unit) {
-    const auto p = static_cast<std::size_t>(unit.program_index);
-    const std::size_t b = unit.backend;
-    const std::uint64_t t0 = telemetry::Tracer::now_ns();
-    SubShard shard = execute_unit(b, unit.program_index);
-    metrics_.unit_micros->record((telemetry::Tracer::now_ns() - t0) / 1000);
-    // A sub-shard tainted by a harness failure (compile/spawn infrastructure
-    // error) is not checkpointed: resuming must re-execute it rather than
-    // replay the transient failure as an observation.
-    journal_append(shard, unit.program_index, b);
-    grid[p][b] = std::move(shard);
-    metrics_.units_done->add(1);
-    if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) == 1 && progress) {
-      const std::lock_guard<std::mutex> lock(progress_mutex);
-      progress(++completed, config_.num_programs);
-    }
-  };
-
-  const ShardScheduler scheduler(nb, scheduler_,
-                                 resolve_thread_count(config_.threads));
-  {
-    telemetry::ScopedSpan schedule_span("campaign", "schedule");
-    if (schedule_span.active()) {
-      schedule_span.arg("units",
-                        static_cast<std::uint64_t>(scheduled_units));
-    }
-    scheduler_stats_ = scheduler.run(pending, run_unit);
-  }
-
-  // Failover sweep: units of a dead backend that exhausted their retries
-  // BEFORE the death was detected (the streak that killed it) are re-run on
-  // its spare, restoring the exact runs a healthy campaign would have
-  // produced — a backend lost mid-campaign with a compatible spare leaves no
-  // trace in the merged result. Dead backends without a spare are reported
-  // as lost; their fabricated columns stay and become quarantine records.
-  for (std::size_t b = 0; b < nb; ++b) {
-    if (!health[b].dead.load(std::memory_order_acquire)) continue;
-    if (spare_for[b] < 0) {
-      result.robustness.lost_backends.push_back(backends_[b].name);
-      continue;
-    }
-    for (std::size_t p = 0; p < np; ++p) {
-      if (!grid[p][b].tainted) continue;
-      grid[p][b] = execute_unit(b, static_cast<int>(p));
-      journal_append(grid[p][b], static_cast<int>(p), b);
-    }
-  }
-
-  // Phase 2: ordered merge + aggregation. Every program's sub-shards are
-  // joined — backend columns concatenated per input row — classified, and
-  // counted in program order, so the result does not depend on the thread
-  // count, the batch size, the steal schedule, or sub-shard completion
-  // order. When the store is size-bounded and a journal is attached, the
-  // shards' RunKeys are collected here as GC pins.
-  const bool want_gc = store_ != nullptr && store_->config().max_bytes > 0;
-  std::vector<std::array<std::uint64_t, 2>> pins;
-  telemetry::ScopedSpan merge_span("campaign", "merge");  // closes with run()
-  for (std::size_t p = 0; p < np; ++p) {
-    auto& row = grid[p];
-    // Merge-time staleness repair: a live sub-shard regenerated its program,
-    // so a restored sub-shard that disagrees with it predates a generator
-    // change (checkpoint_key cannot see the algorithm itself). Re-execute
-    // the stale minority serially against the current program rather than
-    // merge columns from two different programs; the fresh record supersedes
-    // the stale one in the journal (later records win on restore).
-    const bool mismatched = std::any_of(
-        row.begin(), row.end(), [&](const SubShard& sub) {
-          return sub.fingerprint != row[0].fingerprint ||
-                 sub.input_texts != row[0].input_texts;
-        });
-    if (mismatched) {
-      const TestCase truth = make_test_case(static_cast<int>(p));
-      const std::uint64_t live_fp = truth.program.fingerprint();
-      std::vector<std::string> truth_inputs(ni);
-      for (std::size_t i = 0; i < ni; ++i) {
-        truth_inputs[i] = truth.inputs[i].to_string();
-      }
-      for (std::size_t b = 0; b < nb; ++b) {
-        // A row is current only if BOTH the program and the input
-        // serializations match what the generator produces today — a changed
-        // input generator leaves the fingerprint intact but would otherwise
-        // pair this row's runs with other backends' runs of different input
-        // values.
-        if (row[b].fingerprint == live_fp && row[b].input_texts == truth_inputs) {
-          continue;
-        }
-        row[b] = execute_unit(b, static_cast<int>(p));
-        journal_append(row[b], static_cast<int>(p), b);
-      }
-    }
-
-    MergedShard shard;
-    shard.program_fingerprint = row[0].fingerprint;
-    shard.regeneration_attempts = row[0].regeneration_attempts;
-    shard.outcomes.reserve(ni);
-    for (std::size_t i = 0; i < ni; ++i) {
-      TestOutcome outcome;
+  for (std::size_t p = 0; p < state.np; ++p) {
+    auto& row = state.grid[p];
+    const SubShard& head = row[0];
+    std::vector<TestOutcome> outcomes(state.ni);
+    for (std::size_t i = 0; i < state.ni; ++i) {
+      TestOutcome& outcome = outcomes[i];
       outcome.program_index = static_cast<int>(p);
       outcome.input_index = static_cast<int>(i);
-      outcome.program_name = row[0].program_name;
-      outcome.input_text = row[0].input_texts[i];
-      for (std::size_t b = 0; b < nb; ++b) {
-        const std::size_t nj = backend_impls[b].size();
+      outcome.program_name = head.program_name;
+      outcome.input_text = head.input_texts[i];
+      for (std::size_t b = 0; b < state.nb; ++b) {
+        const std::size_t nj = state.impls[b].size();
         const auto begin =
             row[b].runs.begin() + static_cast<std::ptrdiff_t>(i * nj);
         outcome.runs.insert(outcome.runs.end(), std::make_move_iterator(begin),
@@ -903,79 +882,21 @@ CampaignResult Campaign::run(const ProgressFn& progress) {
                                 begin + static_cast<std::ptrdiff_t>(nj)));
       }
       classify_outcome(outcome, detector);
-      shard.outcomes.push_back(std::move(outcome));
     }
 
     // Divergent triples need the AST, which no sub-shard retains — the merge
     // regenerates the test case, but only for divergent programs (the common
-    // non-divergent program merges without touching the generator). The
-    // fingerprint guards the regeneration exactly as on the resume path: a
-    // changed generator would pair a new source with old verdicts, so such
-    // triples are dropped instead.
-    if (std::any_of(shard.outcomes.begin(), shard.outcomes.end(),
-                    [](const TestOutcome& o) {
-                      return outcome_class(o).divergent();
-                    })) {
-      const TestCase test = make_test_case(static_cast<int>(p));
-      if (test.program.fingerprint() == shard.program_fingerprint) {
-        collect_divergent(shard, test, static_cast<int>(p));
-      }
+    // non-divergent program merges without touching the generator).
+    if (std::any_of(outcomes.begin(), outcomes.end(), [](const TestOutcome& o) {
+          return outcome_class(o).divergent();
+        })) {
+      collect_divergent(outcomes, make_test_case(static_cast<int>(p)),
+                        static_cast<int>(p), result.divergent);
     }
 
-    result.regenerated_programs += shard.regeneration_attempts > 0 ? 1 : 0;
-    // Static-analysis accounting, derived from the journaled regeneration
-    // count alone so it is identical whether this program was executed,
-    // cached, or restored. The discarded drafts are re-derived from the same
-    // seed stream make_test_case used; only filtered programs pay the
-    // regeneration cost.
-    result.analysis.programs_checked += shard.regeneration_attempts + 1;
-    result.analysis.programs_filtered += shard.regeneration_attempts;
-    {
-      // Every checked draft is re-derived — the filtered ones (attempt <
-      // regeneration_attempts) for the findings tally, plus the accepted one
-      // for the interval-precision delta: a draft the affine-only baseline
-      // calls racy but interval analysis proves clean is by construction the
-      // accepted draft, never a filtered one.
-      RandomEngine campaign_rng(config_.seed);
-      const std::uint64_t draft_seed = campaign_rng.fork(p).next_u64();
-      analysis::AnalyzeOptions affine_only;
-      affine_only.use_intervals = false;
-      analysis::AnalyzerStats interval_stats;
-      for (int attempt = 0; attempt <= shard.regeneration_attempts; ++attempt) {
-        const ast::Program draft = generator_.generate(
-            "test_" + std::to_string(p), hash_combine(draft_seed, attempt));
-        const auto report = analysis::analyze_races(
-            draft, analysis::AnalyzeOptions{}, &interval_stats);
-        if (attempt < shard.regeneration_attempts) {
-          for (const auto& finding : report.findings) {
-            ++result.analysis.findings_by_kind[static_cast<int>(finding.kind)];
-          }
-        }
-        if (report.race_free() &&
-            !analysis::analyze_races(draft, affine_only).race_free()) {
-          ++result.analysis.interval_rescued_drafts;
-        }
-      }
-      result.analysis.interval_disjoint_pairs +=
-          interval_stats.interval_disjoint_pairs;
-      result.analysis.interval_mod_rewrites += interval_stats.mod_rewrites;
-    }
-    if (want_gc && journal_ != nullptr) {
-      for (const auto& outcome : shard.outcomes) {
-        for (std::size_t b = 0; b < nb; ++b) {
-          for (const auto& identity : backend_identities[b]) {
-            if (identity.empty()) continue;
-            pins.push_back(RunKey{shard.program_fingerprint,
-                                  outcome.input_text, identity}
-                               .digest());
-          }
-        }
-      }
-    }
-    for (auto& triple : shard.divergent) {
-      result.divergent.push_back(std::move(triple));
-    }
-    for (auto& outcome : shard.outcomes) {
+    result.regenerated_programs += head.analysis.programs_filtered > 0 ? 1 : 0;
+    result.analysis += head.analysis;
+    for (auto& outcome : outcomes) {
       ++result.total_tests;
       if (outcome.verdict.analyzable) ++result.analyzable_tests;
       for (std::size_t r = 0; r < outcome.runs.size(); ++r) {
@@ -1006,13 +927,30 @@ CampaignResult Campaign::run(const ProgressFn& progress) {
       result.outcomes.push_back(std::move(outcome));
     }
   }
-
-  // Phase 3: size-bounded store GC. Every journaled shard's RunKeys are
-  // pinned — a resume must find its cached triples even after eviction —
-  // then least-recently-used records are evicted until the cache fits
-  // store.max_bytes.
-  if (want_gc) store_->gc(pins);
   return result;
+}
+
+void Campaign::gc(const RunState& state) {
+  // Size-bounded store GC. With a journal attached, every shard's RunKeys
+  // are pinned — a resume must find its cached triples even after eviction
+  // — then least-recently-used records are evicted until the cache fits
+  // store.max_bytes.
+  if (store_ == nullptr || store_->config().max_bytes <= 0) return;
+  std::vector<std::array<std::uint64_t, 2>> pins;
+  if (journal_ != nullptr) {
+    for (const auto& row : state.grid) {
+      const SubShard& head = row[0];
+      for (const auto& input_text : head.input_texts) {
+        for (const auto& backend_identities : state.identities) {
+          for (const auto& identity : backend_identities) {
+            if (identity.empty()) continue;
+            pins.push_back(RunKey{head.fingerprint, input_text, identity}.digest());
+          }
+        }
+      }
+    }
+  }
+  store_->gc(pins);
 }
 
 const TestOutcome* find_outcome(const CampaignResult& result,

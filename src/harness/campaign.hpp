@@ -10,13 +10,11 @@
 //       differ; aggregate per-implementation counts (Table I).
 #pragma once
 
-#include <array>
 #include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "analysis/findings.hpp"
 #include "core/differ.hpp"
 #include "core/generator.hpp"
 #include "core/outlier.hpp"
@@ -66,31 +64,6 @@ struct DivergentTriple {
   std::string source;              ///< emitted translation unit
   std::string input_text;          ///< argv serialization of `input`
   core::VerdictClass verdict_class;  ///< the class a reduction must preserve
-};
-
-/// Static-analysis accounting of the generation phase. Split-invariant by
-/// construction: computed during the ordered merge from each program's
-/// journaled regeneration count by deterministically re-deriving the
-/// discarded drafts, so the numbers are bit-identical across thread counts,
-/// backend splits, and resumes — they can live in the report JSON.
-struct StaticAnalysisStats {
-  int programs_checked = 0;   ///< drafts run through check_races
-  int programs_filtered = 0;  ///< racy drafts discarded and regenerated
-  /// Findings across filtered drafts, indexed by analysis::RaceKind.
-  std::array<int, analysis::kNumRaceKinds> findings_by_kind{};
-  /// Interval-precision delta over the same re-derived drafts: how many
-  /// checked drafts the affine-only baseline would have filtered as racy
-  /// that value-range analysis proves clean. Every rescued draft is a
-  /// regeneration (and its analysis + generation cost) the campaign did not
-  /// pay. Zero unless the grammar emits range-separated subscripts (the
-  /// `rangeidx` generator feature).
-  int interval_rescued_drafts = 0;
-  /// Access pairs across all checked drafts proved race-free purely by
-  /// interval disjointness (affine subtraction was inconclusive).
-  std::uint64_t interval_disjoint_pairs = 0;
-  /// `x % c` subscript wrappers the interval engine proved to be identity
-  /// rewrites, reclassifying the subscript for the affine test.
-  std::uint64_t interval_mod_rewrites = 0;
 };
 
 /// One (program, input, implementation) triple whose run could not be
@@ -200,7 +173,9 @@ class Campaign {
   /// Attaches a checkpoint journal (not owned). Completed program shards
   /// are streamed to it durably; with `resume` true, shards already in the
   /// journal (written by a previous — possibly killed — run with the same
-  /// checkpoint_key()) are restored instead of re-executed. Resume
+  /// checkpoint_key()) are restored instead of re-executed — unless their
+  /// program fingerprint, name or input serializations disagree with the
+  /// program generated today, in which case the unit runs again. Resume
   /// additionally requires every implementation to report a non-empty
   /// impl_identity() — without it a reconfigured executor would be
   /// indistinguishable from the one that wrote the journal.
@@ -233,12 +208,15 @@ class Campaign {
   }
 
   /// Hash of everything that determines sub-shard contents and ownership:
-  /// seed, per-program input count, the full generator config, and the
+  /// seed, per-program input count, the full generator config (bounds,
+  /// block probabilities, feature gates and feature probabilities), and the
   /// backend split — each backend's name plus its implementations' names and
   /// cache identities. num_programs is deliberately excluded — program i
   /// does not depend on it, so a grown campaign resumes its prefix. A
   /// changed split is a different key: journaled sub-shards are pinned to
-  /// the backend that owns their implementation columns.
+  /// the backend that owns their implementation columns. The key cannot see
+  /// the generator algorithm itself, so restore additionally checks every
+  /// record against the program generated today.
   [[nodiscard]] std::uint64_t checkpoint_key() const;
 
   /// Shards restored from the journal by the last run() (0 without resume;
@@ -251,7 +229,7 @@ class Campaign {
     return scheduler_stats_;
   }
 
-  /// Wall time spent inside check_races across every draft this campaign
+  /// Wall time spent in the race analysis of every draft this campaign
   /// generated (workers included). Timing bookkeeping only — kept out of
   /// CampaignResult and the JSON so reports stay deterministic.
   [[nodiscard]] double analysis_seconds() const noexcept {
@@ -266,6 +244,21 @@ class Campaign {
   }
 
  private:
+  /// Everything one run() shares between its stages: the implementation
+  /// layout, backend health and failover spares, and the (program, backend)
+  /// grid of sub-shards. Defined in campaign.cpp.
+  struct RunState;
+
+  /// The four stages of run(). restore fills the grid from the checkpoint
+  /// journal (every record checked against the regenerated program);
+  /// execute schedules the remaining units and re-runs units lost to a dead
+  /// backend on its spare; merge classifies and aggregates in program
+  /// order; gc trims a size-bounded result store.
+  void restore(RunState& state);
+  void execute(RunState& state, const ProgressFn& progress);
+  [[nodiscard]] CampaignResult merge(RunState& state) const;
+  void gc(const RunState& state);
+
   /// Cached references into the process-wide telemetry registry. Registered
   /// once at construction so the hot paths (campaign workers, make_test_case)
   /// never pay a registry lookup; the names are the public metrics catalog

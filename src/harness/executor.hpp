@@ -11,15 +11,53 @@
 //                        the paper's actual driver (subprocess_executor.hpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "analysis/findings.hpp"
 #include "ast/program.hpp"
 #include "core/outlier.hpp"
 #include "fp/input_gen.hpp"
 
 namespace ompfuzz::harness {
+
+/// Static-analysis accounting of the generation phase. Campaign::make_test_case
+/// tallies the drafts it analyzes into its TestCase, and the campaign sums the
+/// per-program tallies in program order — so the numbers are bit-identical
+/// across thread counts, backend splits, and resumes, and can live in the
+/// report JSON.
+struct StaticAnalysisStats {
+  int programs_checked = 0;   ///< drafts run through the race analysis
+  int programs_filtered = 0;  ///< racy drafts discarded and regenerated
+  /// Findings across filtered drafts, indexed by analysis::RaceKind.
+  std::array<int, analysis::kNumRaceKinds> findings_by_kind{};
+  /// Interval-precision delta: how many accepted drafts the affine-only
+  /// baseline would have filtered as racy that value-range analysis proves
+  /// clean. Every rescued draft is a regeneration (and its analysis +
+  /// generation cost) the campaign did not pay. Zero unless the grammar emits
+  /// range-separated subscripts (the `rangeidx` generator feature).
+  int interval_rescued_drafts = 0;
+  /// Access pairs across all checked drafts proved race-free purely by
+  /// interval disjointness (affine subtraction was inconclusive).
+  std::uint64_t interval_disjoint_pairs = 0;
+  /// `x % c` subscript wrappers the interval engine proved to be identity
+  /// rewrites, reclassifying the subscript for the affine test.
+  std::uint64_t interval_mod_rewrites = 0;
+
+  StaticAnalysisStats& operator+=(const StaticAnalysisStats& other) noexcept {
+    programs_checked += other.programs_checked;
+    programs_filtered += other.programs_filtered;
+    for (std::size_t k = 0; k < findings_by_kind.size(); ++k) {
+      findings_by_kind[k] += other.findings_by_kind[k];
+    }
+    interval_rescued_drafts += other.interval_rescued_drafts;
+    interval_disjoint_pairs += other.interval_disjoint_pairs;
+    interval_mod_rewrites += other.interval_mod_rewrites;
+    return *this;
+  }
+};
 
 /// One generated test: a program plus its generated inputs.
 struct TestCase {
@@ -28,6 +66,7 @@ struct TestCase {
   std::vector<fp::InputSet> inputs;
   std::uint64_t seed = 0;
   int regeneration_attempts = 0;  ///< racy drafts discarded before this one
+  StaticAnalysisStats analysis;   ///< tally of every draft analyzed for it
 };
 
 class Executor {

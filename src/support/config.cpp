@@ -159,7 +159,6 @@ GeneratorConfig GeneratorConfig::from_config(const ConfigFile& file) {
   g.max_same_level_blocks = geti("max_same_level_blocks", g.max_same_level_blocks);
   g.math_func_allowed = file.get_bool("generator.math_func_allowed", g.math_func_allowed);
   g.math_func_probability = getd("math_func_probability", g.math_func_probability);
-  g.input_samples_per_run = geti("input_samples_per_run", g.input_samples_per_run);
   g.num_threads = geti("num_threads", g.num_threads);
   g.max_loop_trip_count = geti("max_loop_trip_count", g.max_loop_trip_count);
   g.p_if_block = getd("p_if_block", g.p_if_block);
@@ -228,7 +227,6 @@ void GeneratorConfig::validate() const {
   require(max_lines_in_block >= 1, "max_lines_in_block must be >= 1");
   require(array_size >= 1, "array_size must be >= 1");
   require(max_same_level_blocks >= 1, "max_same_level_blocks must be >= 1");
-  require(input_samples_per_run >= 1, "input_samples_per_run must be >= 1");
   require(num_threads >= 1, "num_threads must be >= 1");
   require(max_loop_trip_count >= 1, "max_loop_trip_count must be >= 1");
   require(math_func_probability >= 0.0 && math_func_probability <= 1.0,
@@ -346,8 +344,6 @@ CampaignConfig CampaignConfig::from_config(const ConfigFile& file) {
   c.alpha = file.get_double("campaign.alpha", c.alpha);
   c.beta = file.get_double("campaign.beta", c.beta);
   c.min_time_us = file.get_int("campaign.min_time_us", c.min_time_us);
-  c.hang_timeout_us = file.get_int("campaign.hang_timeout_us", c.hang_timeout_us);
-  c.output_dir = file.get_or("campaign.output_dir", c.output_dir);
   c.threads = get_config_int(file, "campaign.threads", c.threads);
 
   // Implementations are listed as "implementations.NAME = profile_or_command".
@@ -377,7 +373,6 @@ void CampaignConfig::validate() const {
   if (alpha <= 0.0) throw ConfigError("alpha must be > 0");
   if (beta <= 1.0) throw ConfigError("beta must be > 1");
   if (min_time_us < 0) throw ConfigError("min_time_us must be >= 0");
-  if (hang_timeout_us <= 0) throw ConfigError("hang_timeout_us must be > 0");
   if (threads < 0) throw ConfigError("threads must be >= 0 (0 = hardware concurrency)");
 }
 

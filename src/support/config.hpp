@@ -66,7 +66,6 @@ struct GeneratorConfig {
   int max_same_level_blocks = 3;  ///< max sibling blocks at one nesting level
   bool math_func_allowed = true;  ///< allow calls into <math.h>
   double math_func_probability = 0.01;  ///< chance an expression term is a call
-  int input_samples_per_run = 3;  ///< distinct inputs generated per program
 
   int num_threads = 32;           ///< num_threads(...) on every parallel region
   int max_loop_trip_count = 1000; ///< upper bound for random loop bounds
@@ -261,8 +260,6 @@ struct CampaignConfig {
   double alpha = 0.2;            ///< comparable-times threshold (Eq. 1)
   double beta = 1.5;             ///< outlier threshold (Eq. 2)
   std::int64_t min_time_us = 1000;   ///< analysis filter: ignore tests faster than this
-  std::int64_t hang_timeout_us = 180'000'000;  ///< 3 minutes, as in Case Study 3
-  std::string output_dir = "_tests";
   /// Worker threads for the campaign engine: one generated program per shard.
   /// 1 = serial (default), 0 = hardware concurrency, N = exactly N workers.
   /// Results are identical for every value (deterministic sharding).

@@ -1,4 +1,4 @@
-#include "analysis/differential.hpp"
+#include "differential.hpp"
 
 #include "fp/input_gen.hpp"
 #include "interp/interp.hpp"

@@ -19,13 +19,12 @@
 #include <vector>
 
 #include "analysis/access_set.hpp"
-#include "analysis/differential.hpp"
 #include "analysis/phase_model.hpp"
 #include "analysis/race_analyzer.hpp"
 #include "analysis/reaching_defs.hpp"
 #include "analysis/rules_reference.hpp"
 #include "core/generator.hpp"
-#include "core/race_checker.hpp"
+#include "differential.hpp"
 #include "support/rng.hpp"
 
 namespace ompfuzz::analysis {

@@ -15,35 +15,47 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 TEST(UlpDistance, AdjacentDoublesAreOneApart) {
   const double x = 1.0;
   const double next = std::nextafter(x, 2.0);
-  EXPECT_EQ(ulp_distance(x, next), 1);
-  EXPECT_EQ(ulp_distance(next, x), 1);
+  EXPECT_EQ(ulp_distance(x, next), 1u);
+  EXPECT_EQ(ulp_distance(next, x), 1u);
 }
 
 TEST(UlpDistance, IdenticalValuesAreZeroApart) {
-  EXPECT_EQ(ulp_distance(3.14, 3.14), 0);
+  EXPECT_EQ(ulp_distance(3.14, 3.14), 0u);
 }
 
 TEST(UlpDistance, SignedZerosAreZeroApart) {
-  EXPECT_EQ(ulp_distance(0.0, -0.0), 0);
+  EXPECT_EQ(ulp_distance(0.0, -0.0), 0u);
 }
 
 TEST(UlpDistance, AcrossZeroCountsBothSides) {
   const double tiny = 5e-324;  // smallest subnormal
-  EXPECT_EQ(ulp_distance(tiny, -tiny), 2);
+  EXPECT_EQ(ulp_distance(tiny, -tiny), 2u);
 }
 
 TEST(UlpDistance, KUlpsApart) {
   double x = 2.0;
   double y = x;
   for (int i = 0; i < 10; ++i) y = std::nextafter(y, 3.0);
-  EXPECT_EQ(ulp_distance(x, y), 10);
+  EXPECT_EQ(ulp_distance(x, y), 10u);
 }
 
 TEST(Compare, BitwiseEqual) {
   const auto c = compare_outputs(1.5, 1.5);
   EXPECT_TRUE(c.bitwise_equal);
   EXPECT_TRUE(c.equivalent);
-  EXPECT_EQ(c.ulp_distance, 0);
+  EXPECT_EQ(c.ulp_distance, 0u);
+}
+
+// Operands 2^63 or more ulps apart compare as equivalent: the verdict the
+// campaign reports were recorded with (see compare_outputs). Pinned so that
+// changing it is a deliberate change that re-records those references.
+TEST(Compare, FarApartAcrossZeroKeepsTheRecordedVerdict) {
+  const auto far = compare_outputs(1e298, -1e298, exact_tolerance());
+  EXPECT_GE(far.ulp_distance, std::uint64_t{1} << 63);
+  EXPECT_TRUE(far.equivalent);
+  const auto near = compare_outputs(1.0, -1.0, exact_tolerance());
+  EXPECT_EQ(near.ulp_distance, 0x7FE0000000000000ull);
+  EXPECT_FALSE(near.equivalent);
 }
 
 TEST(Compare, BothNanAreEquivalent) {

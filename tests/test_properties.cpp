@@ -2,13 +2,14 @@
 // pipeline for arbitrary seeds, checked over parameterized sweeps.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <set>
 
+#include "analysis/race_analyzer.hpp"
 #include "core/differ.hpp"
 #include "core/generator.hpp"
 #include "core/grammar.hpp"
-#include "core/race_checker.hpp"
 #include "emit/codegen.hpp"
 #include "harness/campaign.hpp"
 #include "harness/sim_executor.hpp"
@@ -220,8 +221,12 @@ TEST(UlpMetric, SymmetryAndIdentity) {
     const double b = fp::random_double(
         fp::fp_class_from_index(static_cast<int>(rng.uniform_index(4))), rng);
     EXPECT_EQ(core::ulp_distance(a, b), core::ulp_distance(b, a));
-    EXPECT_EQ(core::ulp_distance(a, a), 0);
+    EXPECT_EQ(core::ulp_distance(a, a), 0u);
   }
+  // The widest finite distance, just under 2^64: both operands sit
+  // bits(DBL_MAX) = 0x7FEFFFFFFFFFFFFF steps away from zero.
+  EXPECT_EQ(core::ulp_distance(-DBL_MAX, DBL_MAX), 0xFFDFFFFFFFFFFFFEull);
+  EXPECT_EQ(core::ulp_distance(DBL_MAX, -DBL_MAX), 0xFFDFFFFFFFFFFFFEull);
 }
 
 TEST(UlpMetric, MonotoneAlongNextafterChains) {
@@ -231,7 +236,7 @@ TEST(UlpMetric, MonotoneAlongNextafterChains) {
     double x = base;
     for (int k = 1; k <= 8; ++k) {
       x = std::nextafter(x, HUGE_VAL);
-      EXPECT_EQ(core::ulp_distance(base, x), k);
+      EXPECT_EQ(core::ulp_distance(base, x), static_cast<std::uint64_t>(k));
     }
   }
 }
@@ -272,7 +277,7 @@ TEST_P(GeneratorStress, ConformantRaceFreeAndInterpretable) {
   for (int s = 0; s < 25; ++s) {
     const auto prog = gen.generate("stress", p.seed_base + s);
     EXPECT_TRUE(core::check_conformance(prog, cfg).empty()) << "seed " << s;
-    EXPECT_TRUE(core::check_races(prog).race_free()) << "seed " << s;
+    EXPECT_TRUE(analysis::analyze_races(prog).race_free()) << "seed " << s;
     RandomEngine rng(p.seed_base + s);
     const auto input = input_gen.generate(prog.signature(), rng);
     interp::InterpOptions opt;

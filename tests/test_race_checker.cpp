@@ -6,11 +6,12 @@
 #include <utility>
 #include <vector>
 
-#include "core/race_checker.hpp"
+#include "analysis/race_analyzer.hpp"
 
 namespace ompfuzz::core {
 namespace {
 
+using analysis::RaceKind;
 using ast::AssignOp;
 using ast::Block;
 using ast::Expr;
@@ -55,7 +56,7 @@ struct Fixture {
   }
 
   bool has(RaceKind kind) {
-    const auto report = check_races(prog);
+    const auto report = analysis::analyze_races(prog);
     for (const auto& f : report.findings) {
       if (f.kind == kind) return true;
     }
@@ -80,7 +81,7 @@ TEST(RaceChecker, PrivatizedScalarWriteIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, CompUnprotectedWithoutReduction) {
@@ -103,7 +104,7 @@ TEST(RaceChecker, CompWithReductionIsSafe) {
   clauses.privates.push_back(f.shared_x);
   clauses.reduction = ReductionOp::Sum;
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, CompInsideCriticalIsSafe) {
@@ -116,7 +117,7 @@ TEST(RaceChecker, CompInsideCriticalIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, CriticalWriteWithUncriticalReadIsRace) {
@@ -149,7 +150,7 @@ TEST(RaceChecker, ThreadIdIndexedArrayWriteIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, OmpForIndexedArrayWriteIsSafe) {
@@ -160,7 +161,7 @@ TEST(RaceChecker, OmpForIndexedArrayWriteIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses), /*omp_for=*/true);
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, LoopIndexedWriteInSerialRegionLoopIsRace) {
@@ -211,7 +212,7 @@ TEST(RaceChecker, ReadOnlyArrayAnySubscriptIsSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, UninitializedPrivateReadFlagged) {
@@ -244,7 +245,7 @@ TEST(RaceChecker, FirstprivateReadIsInitialized) {
   clauses.reduction = ReductionOp::Sum;
   f.prog.body().stmts.push_back(
       Stmt::omp_parallel(std::move(clauses), std::move(region)));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, SerialCodeIsNeverFlagged) {
@@ -253,7 +254,7 @@ TEST(RaceChecker, SerialCodeIsNeverFlagged) {
       LValue{f.shared_x, nullptr}, AssignOp::AddAssign, Expr::var(f.comp)));
   f.prog.body().stmts.push_back(Stmt::assign(
       LValue{f.arr, Expr::int_const(5)}, AssignOp::Assign, Expr::var(f.shared_x)));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, RegionLocalDeclIsThreadPrivate) {
@@ -267,7 +268,7 @@ TEST(RaceChecker, RegionLocalDeclIsThreadPrivate) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 // ---------------------------------------------------------------------------
@@ -282,7 +283,7 @@ using KindVar = std::pair<RaceKind, std::string>;
 
 std::vector<KindVar> finding_pairs(const Program& prog) {
   std::vector<KindVar> out;
-  for (const auto& f : check_races(prog).findings) {
+  for (const auto& f : analysis::analyze_races(prog).findings) {
     out.emplace_back(f.kind, f.variable);
   }
   return out;
@@ -434,7 +435,7 @@ TEST(RaceChecker, AtomicUpdatesOnSameScalarAreSafe) {
   OmpClauses clauses;
   clauses.privates.push_back(f.shared_x);
   f.add_region(std::move(loop), std::move(clauses));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, AtomicVsPlainReadIsRace) {
@@ -482,7 +483,7 @@ TEST(RaceChecker, ScheduledOmpForKeepsIterationPartitionSafe) {
   clauses.privates.push_back(f.shared_x);
   f.prog.body().stmts.push_back(
       Stmt::omp_parallel(std::move(clauses), std::move(region)));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 /// Region of shape: x-init preamble, the given sync blocks, then a safe
@@ -541,7 +542,7 @@ TEST(RaceChecker, TwoMasterBlocksOnSameScalarAreSafe) {
   sync.push_back(Stmt::omp_master(single_update(y, AssignOp::AddAssign, 1.0)));
   sync.push_back(Stmt::omp_master(single_update(y, AssignOp::MulAssign, 2.0)));
   add_sync_region(f, std::move(sync));
-  EXPECT_TRUE(check_races(f.prog).race_free());
+  EXPECT_TRUE(analysis::analyze_races(f.prog).race_free());
 }
 
 TEST(RaceChecker, SingleWriteVsLoopReadIsRace) {

@@ -2,17 +2,19 @@
 // under any batch/steal/thread setting, merged CampaignResults are
 // bit-identical across backend splits, batch sizes, and steal schedules,
 // work-stealing actually moves work off a skewed batch (wall-clock bound +
-// stolen-unit count), and the v3 checkpoint journal re-pins sub-shards to
-// their owning backend on resume.
+// stolen-unit count), the checkpoint journal re-pins sub-shards to their
+// owning backend on resume, and stale journal records never restore.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -372,6 +374,116 @@ TEST(SchedulerJournal, GrownCampaignResumesItsPrefix) {
   SimExecutor b(profile_slice(2, 3), opt);
   Campaign cold(sim_config(6, 1), {{&a, "left"}, {&b, "right"}});
   EXPECT_EQ(grown_json, to_json(cold.run()));
+}
+
+// ------------------------------------------------------- stale journals ----
+
+/// Runs `cfg` over the gcc/clang/intel profiles, as one backend ("default")
+/// or split across two, resuming from `journal_path` when it is non-empty.
+/// Returns the report JSON and stores resumed_programs() in `resumed`.
+std::string run_journaled(const CampaignConfig& cfg, int split,
+                          const std::string& journal_path, int* resumed = nullptr) {
+  SimExecutorOptions opt;
+  opt.num_threads = 4;
+  SimExecutor all(profile_slice(0, 3), opt);
+  SimExecutor left(profile_slice(0, 1), opt);
+  SimExecutor right(profile_slice(1, 3), opt);
+  std::vector<CampaignBackend> backends = {{&all, "default"}};
+  if (split == 2) backends = {{&left, "left"}, {&right, "right"}};
+  Campaign campaign(cfg, backends);
+  std::optional<CheckpointJournal> journal;
+  if (!journal_path.empty()) {
+    journal.emplace(journal_path);
+    campaign.set_checkpoint(&*journal, true);
+  }
+  std::string json = to_json(campaign.run());
+  if (resumed != nullptr) *resumed = campaign.resumed_programs();
+  return json;
+}
+
+TEST(StaleJournal, KeyCoversEveryFeatureGateAndProbability) {
+  SimExecutor exec{SimExecutorOptions{}};
+  const auto key_of = [&](const CampaignConfig& cfg) {
+    return Campaign(cfg, exec).checkpoint_key();
+  };
+  const CampaignConfig base = sim_config(4, 1);
+  const std::uint64_t key = key_of(base);
+  using Edit = void (*)(GeneratorConfig&);
+  const Edit edits[] = {
+      [](GeneratorConfig& g) { g.enable_atomic = true; },
+      [](GeneratorConfig& g) { g.enable_single = true; },
+      [](GeneratorConfig& g) { g.enable_master = true; },
+      [](GeneratorConfig& g) { g.enable_schedule = true; },
+      [](GeneratorConfig& g) { g.enable_rangeidx = true; },
+      [](GeneratorConfig& g) { g.p_atomic = 0.5; },
+      [](GeneratorConfig& g) { g.p_single = 0.5; },
+      [](GeneratorConfig& g) { g.p_master = 0.5; },
+      [](GeneratorConfig& g) { g.p_schedule = 0.5; },
+      [](GeneratorConfig& g) { g.p_rangeidx = 0.5; },
+  };
+  for (std::size_t e = 0; e < std::size(edits); ++e) {
+    CampaignConfig cfg = base;
+    edits[e](cfg.generator);
+    EXPECT_NE(key_of(cfg), key) << "generator edit " << e;
+  }
+  CampaignConfig grown = base;
+  grown.num_programs = 40;
+  EXPECT_EQ(key_of(grown), key) << "a grown campaign must resume its prefix";
+}
+
+TEST(StaleJournal, ToggledFeatureGatesResumeLikeAColdRun) {
+  const CampaignConfig plain = sim_config(6, 2);
+  CampaignConfig gated = plain;
+  gated.generator.enable_features("atomic,single,master,schedule");
+  for (const int split : {1, 2}) {
+    const std::string path = temp_dir() + "/j.journal";
+    (void)run_journaled(plain, split, path);  // journals the ungated stream
+    int resumed = -1;
+    EXPECT_EQ(run_journaled(gated, split, path, &resumed),
+              run_journaled(gated, split, ""))
+        << split << " backend(s): resumed records of the ungated stream";
+    EXPECT_EQ(resumed, 0) << split << " backend(s)";
+  }
+}
+
+TEST(StaleJournal, RecordsThatDisagreeWithTheProgramAreReexecuted) {
+  const CampaignConfig cfg = sim_config(4, 1);
+  const std::string cold = run_journaled(cfg, 1, "");
+  for (const bool wrong_fingerprint : {true, false}) {
+    const std::string path = temp_dir() + "/j.journal";
+    (void)run_journaled(cfg, 1, path);
+    {
+      // Append a doctored copy of program 2's record under the current key.
+      // Later records win, so it replaces the genuine one on resume; its
+      // tripled times would show in the report if it were restored.
+      SimExecutorOptions opt;
+      opt.num_threads = 4;
+      SimExecutor all(profile_slice(0, 3), opt);
+      const Campaign campaign(cfg, {{&all, "default"}});
+      CheckpointJournal journal(path);
+      const auto records =
+          journal.open(campaign.checkpoint_key(), all.implementations(), true);
+      const auto genuine =
+          std::find_if(records.begin(), records.end(),
+                       [](const StoredShard& s) { return s.program_index == 2; });
+      ASSERT_NE(genuine, records.end());
+      StoredShard doctored = *genuine;
+      if (wrong_fingerprint) {
+        doctored.program_fingerprint ^= 1;
+      } else {
+        doctored.outcomes[1].input_text += " 1";
+      }
+      for (auto& outcome : doctored.outcomes) {
+        for (auto& run : outcome.runs) run.time_us *= 3;
+      }
+      journal.append(doctored);
+    }
+    int resumed = -1;
+    EXPECT_EQ(run_journaled(cfg, 1, path, &resumed), cold)
+        << (wrong_fingerprint ? "wrong fingerprint" : "wrong input text");
+    EXPECT_EQ(resumed, cfg.num_programs - 1)
+        << (wrong_fingerprint ? "wrong fingerprint" : "wrong input text");
+  }
 }
 
 // ------------------------------------------------------ mixed backends ----
