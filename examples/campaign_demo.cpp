@@ -105,21 +105,6 @@ clang = profile: libomp
 intel = profile: libiomp5
 )";
 
-/// Checked numeric flag values, parsed by the config file's rules so
-/// garbage ("2x", "") is a ConfigError instead of a silent prefix or zero.
-std::int64_t int_flag(const char* flag, const char* text, std::int64_t min_value,
-                      std::int64_t max_value) {
-  ompfuzz::ConfigFile args;
-  args.set(flag, text);
-  return args.get_int(flag, 0, min_value, max_value);
-}
-
-double number_flag(const char* flag, const char* text) {
-  ompfuzz::ConfigFile args;
-  args.set(flag, text);
-  return args.get_double(flag, 0.0);
-}
-
 int run_demo(int argc, char** argv) {
   using namespace ompfuzz;
 
@@ -141,11 +126,11 @@ int run_demo(int argc, char** argv) {
       // Must not fall through to the config-path branch on a missing value:
       // "--backends" would silently become the config file path.
       if (a + 1 >= argc) throw ConfigError("--backends needs a positive count");
-      backends_override = static_cast<int>(int_flag(
+      backends_override = static_cast<int>(parse_int_arg(
           "--backends", argv[++a], 1, std::numeric_limits<int>::max()));
     } else if (std::strcmp(argv[a], "--inject-faults") == 0) {
       if (a + 1 >= argc) throw ConfigError("--inject-faults needs a rate in [0, 1]");
-      fault_rate_override = number_flag("--inject-faults", argv[++a]);
+      fault_rate_override = parse_double_arg("--inject-faults", argv[++a]);
       if (fault_rate_override < 0.0 || fault_rate_override > 1.0) {
         throw ConfigError("--inject-faults needs a rate in [0, 1]");
       }

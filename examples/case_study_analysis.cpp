@@ -4,7 +4,7 @@
 //
 //   $ ./case_study_analysis [num_programs]
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "emit/codegen.hpp"
 #include "harness/campaign.hpp"
@@ -12,10 +12,21 @@
 #include "harness/sim_executor.hpp"
 #include "profiler/callstack.hpp"
 #include "profiler/thread_state.hpp"
+#include "support/config.hpp"
+#include "support/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace ompfuzz;
-  const int programs = argc > 1 ? std::atoi(argv[1]) : 80;
+  int programs = 80;
+  try {
+    if (argc > 1) {
+      programs = static_cast<int>(parse_int_arg("num_programs", argv[1], 1,
+                                                std::numeric_limits<int>::max()));
+    }
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "case_study_analysis: %s\n", e.what());
+    return 2;
+  }
 
   CampaignConfig cfg;
   cfg.num_programs = programs;

@@ -7,16 +7,35 @@
 //   $ ./real_compiler_diff [num_programs] [threads] [max_inflight]
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "harness/campaign.hpp"
 #include "harness/report.hpp"
 #include "harness/subprocess_executor.hpp"
+#include "support/config.hpp"
+#include "support/error.hpp"
 
 int main(int argc, char** argv) {
   using namespace ompfuzz;
-  const int programs = argc > 1 ? std::atoi(argv[1]) : 5;
-  const int threads = argc > 2 ? std::atoi(argv[2]) : 1;
-  const int max_inflight = argc > 3 ? std::atoi(argv[3]) : 0;
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  int programs = 5;
+  int threads = 1;
+  int max_inflight = 0;
+  try {
+    // Parsed before anything is spawned: a malformed argument starts no child.
+    if (argc > 1) {
+      programs = static_cast<int>(parse_int_arg("num_programs", argv[1], 1, kIntMax));
+    }
+    if (argc > 2) {
+      threads = static_cast<int>(parse_int_arg("threads", argv[2], 0, kIntMax));
+    }
+    if (argc > 3) {
+      max_inflight = static_cast<int>(parse_int_arg("max_inflight", argv[3], 0, kIntMax));
+    }
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "real_compiler_diff: %s\n", e.what());
+    return 2;
+  }
 
   if (std::system("g++ --version > /dev/null 2>&1") != 0) {
     std::printf("no g++ on PATH; this example needs a real compiler\n");

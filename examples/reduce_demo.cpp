@@ -31,29 +31,16 @@
 #include "support/error.hpp"
 #include "support/result_store.hpp"
 
-namespace {
-
-/// Checked integer argument, parsed by the config file's rules so garbage
-/// ("8x", "") is a ConfigError instead of a silent prefix or zero.
-std::int64_t int_arg(const char* name, const char* text, std::int64_t min_value,
-                     std::int64_t max_value) {
-  ompfuzz::ConfigFile args;
-  args.set(name, text);
-  return args.get_int(name, 0, min_value, max_value);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace ompfuzz;
 
   CampaignConfig cfg;
   try {
     cfg.num_programs =
-        argc > 1 ? static_cast<int>(int_arg("num_programs", argv[1], 1,
-                                            std::numeric_limits<int>::max()))
+        argc > 1 ? static_cast<int>(parse_int_arg("num_programs", argv[1], 1,
+                                                 std::numeric_limits<int>::max()))
                  : 8;
-    cfg.seed = argc > 2 ? static_cast<std::uint64_t>(int_arg(
+    cfg.seed = argc > 2 ? static_cast<std::uint64_t>(parse_int_arg(
                               "seed", argv[2], std::numeric_limits<std::int64_t>::min(),
                               std::numeric_limits<std::int64_t>::max()))
                         : 51966;

@@ -12,6 +12,7 @@ namespace {
 /// Registered once; bumped once per run or compile, never per step.
 struct SimMetrics {
   telemetry::Counter& runs;
+  telemetry::Counter& memo_hits;
   telemetry::Counter& over_budget_runs;
   telemetry::Counter& steps;
   telemetry::Counter& compiles;
@@ -22,6 +23,7 @@ struct SimMetrics {
 SimMetrics& sim_metrics() {
   auto& r = telemetry::Registry::global();
   static SimMetrics metrics{r.counter("sim.runs"),
+                            r.counter("sim.memo_hits"),
                             r.counter("sim.over_budget_runs"),
                             r.counter("sim.steps"),
                             r.counter("sim.compiles"),
@@ -76,27 +78,49 @@ std::vector<std::string> SimExecutor::implementations() const {
 DetailedRun SimExecutor::run_detailed(const TestCase& test,
                                       std::size_t input_index,
                                       const std::string& impl_name) {
-  const interp::Compiled lowered =
-      lower(test.program, profile(impl_name).fp.contract_fma);
+  const rt::OmpImplProfile& prof = profile(impl_name);
+  const interp::Compiled lowered = lower(test.program, prof.fp.contract_fma);
+  interp::InterpResult ir;
   return run_lowered(test, lowered, test.program.fingerprint(), input_index,
-                     impl_name);
+                     prof, ir, /*memo_hit=*/false);
 }
 
 std::vector<core::RunResult> SimExecutor::run_batch(
     const TestCase& test, const std::vector<std::size_t>& input_indices,
     const std::vector<std::string>& impls) {
+  // Resolved once per batch: each impl's profile and its leader, the first
+  // impl of the batch with equal semantics. An impl led by another prices
+  // the interpretation its leader made of the same input a moment earlier;
+  // when no two impls share semantics, every impl leads itself and each run
+  // interprets, exactly as looping run() does.
+  const std::size_t n = impls.size();
+  std::vector<const rt::OmpImplProfile*> profs(n);
+  std::vector<std::size_t> leader(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    profs[j] = &profile(impls[j]);
+    leader[j] = j;
+    for (std::size_t k = 0; k < j; ++k) {
+      if (profs[k]->fp == profs[j]->fp) {
+        leader[j] = k;
+        break;
+      }
+    }
+  }
+  std::vector<interp::InterpResult> interps(n);  // this input's, by leader
   // Lowered forms live for this batch only, indexed by contract_fma.
   std::optional<interp::Compiled> lowered[2];
   const std::uint64_t fingerprint = test.program.fingerprint();
   std::vector<core::RunResult> results;
-  results.reserve(input_indices.size() * impls.size());
+  results.reserve(input_indices.size() * n);
   for (const std::size_t input_index : input_indices) {
-    for (const auto& impl : impls) {
-      const bool fma = profile(impl).fp.contract_fma;
+    for (std::size_t j = 0; j < n; ++j) {
+      const bool fma = profs[j]->fp.contract_fma;
       std::optional<interp::Compiled>& slot = lowered[fma ? 1 : 0];
       if (!slot) slot.emplace(lower(test.program, fma));
-      results.push_back(
-          run_lowered(test, *slot, fingerprint, input_index, impl).result);
+      results.push_back(run_lowered(test, *slot, fingerprint, input_index,
+                                    *profs[j], interps[leader[j]],
+                                    /*memo_hit=*/leader[j] != j)
+                            .result);
     }
   }
   return results;
@@ -106,44 +130,65 @@ DetailedRun SimExecutor::run_lowered(const TestCase& test,
                                      const interp::Compiled& lowered,
                                      std::uint64_t fingerprint,
                                      std::size_t input_index,
-                                     const std::string& impl_name) const {
+                                     const rt::OmpImplProfile& prof,
+                                     interp::InterpResult& ir,
+                                     bool memo_hit) const {
   OMPFUZZ_CHECK(input_index < test.inputs.size(), "input index out of range");
   telemetry::ScopedSpan span("run", "sim_run");
+  const fp::InputSet& input = test.inputs[input_index];
+  if (memo_hit) {
+    sim_metrics().memo_hits.add();
+  } else {
+    ir = interpret(lowered, input, prof.fp);
+  }
+  DetailedRun out = price(test, ir, fingerprint, input, prof);
   if (span.active()) {
     span.arg("fingerprint", telemetry::hex_fingerprint(fingerprint));
-    span.arg("impl", impl_name);
+    span.arg("impl", prof.name);
     span.arg("input", static_cast<std::uint64_t>(input_index));
+    span.arg("status", core::to_string(out.result.status));
+    span.arg("steps", ir.steps);
+    span.arg("memo_hit", memo_hit ? 1 : 0);
   }
-  const rt::OmpImplProfile& prof = profile(impl_name);
-  const fp::InputSet& input = test.inputs[input_index];
+  return out;
+}
 
-  DetailedRun out;
-  out.result.impl = impl_name;
-
-  // Deterministic per-(program, input, impl) identity.
-  const std::uint64_t run_hash =
-      hash_combine(hash_combine(fingerprint, input.hash()), fnv1a64(impl_name));
-
+interp::InterpResult SimExecutor::interpret(const interp::Compiled& lowered,
+                                            const fp::InputSet& input,
+                                            const interp::FpSemantics& fp) const {
   interp::InterpOptions iopt;
-  iopt.fp = prof.fp;
+  iopt.fp = fp;
   iopt.num_threads_override = options_.num_threads;
   iopt.max_steps = options_.max_interp_steps;
   const std::uint64_t start_ns = telemetry::Tracer::now_ns();
-  const interp::InterpResult ir = interp::execute(lowered, input, iopt);
+  interp::InterpResult ir = interp::execute(lowered, input, iopt);
   const std::uint64_t interp_ns = telemetry::Tracer::now_ns() - start_ns;
+
+  SimMetrics& metrics = sim_metrics();
+  metrics.steps.add(ir.steps);
+  (ir.over_budget ? metrics.interp_nanos_over_budget : metrics.interp_nanos_ok)
+      .record(interp_ns);
+  return ir;
+}
+
+DetailedRun SimExecutor::price(const TestCase& test, const interp::InterpResult& ir,
+                               std::uint64_t fingerprint, const fp::InputSet& input,
+                               const rt::OmpImplProfile& prof) const {
+  DetailedRun out;
+  out.result.impl = prof.name;
   out.events = ir.events;
 
   SimMetrics& metrics = sim_metrics();
   metrics.runs.add();
-  metrics.steps.add(ir.steps);
   if (ir.over_budget) {
     metrics.over_budget_runs.add();
-    metrics.interp_nanos_over_budget.record(interp_ns);
     out.result.status = core::RunStatus::Skipped;
     return out;
   }
-  metrics.interp_nanos_ok.record(interp_ns);
 
+  // Deterministic per-(program, input, impl) identity.
+  const std::uint64_t run_hash =
+      hash_combine(hash_combine(fingerprint, input.hash()), fnv1a64(prof.name));
   out.fault = rt::decide_fault(test.features, options_.num_threads, prof, run_hash);
   out.time = rt::simulate_time(ir.events, test.features, options_.num_threads,
                                prof, run_hash);

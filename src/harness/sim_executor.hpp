@@ -7,11 +7,21 @@
 // decision derives from a hash of (program fingerprint, input, impl), making
 // whole campaigns bit-reproducible.
 //
-// Each run is counted in the process-wide telemetry registry: sim.runs,
-// sim.over_budget_runs, sim.steps, sim.compiles (programs lowered), and the
-// interpretation time in the sim.interp_nanos.ok / .over_budget histograms —
+// Inside one run_batch call, implementations with equal FpSemantics share
+// one interpretation per input: the team size and step budget are fixed per
+// executor, so their interpretations are bit-identical. The first such
+// implementation interprets; the others price that result with their own
+// cost and fault models and run hash (a "memo hit"). Results equal looping
+// run() field for field.
+//
+// Every run and every interpretation is counted in the process-wide
+// telemetry registry. Per run: sim.runs, sim.over_budget_runs (runs that
+// end Skipped) and sim.memo_hits (runs priced from a shared
+// interpretation). Per interpretation actually performed: sim.steps and the
+// interpretation time in the sim.interp_nanos.ok / .over_budget histograms,
 // so the share of interpreter time spent on runs whose result is discarded
-// is visible in every metrics snapshot.
+// is visible in every metrics snapshot. Per lowered program: sim.compiles.
+// Hence ok + over_budget histogram counts + sim.memo_hits == sim.runs.
 #pragma once
 
 #include <optional>
@@ -54,8 +64,9 @@ class SimExecutor final : public Executor {
   [[nodiscard]] core::RunResult run(const TestCase& test, std::size_t input_index,
                                     const std::string& impl_name) override;
   /// Lowers the program once per batch (once per contract_fma setting among
-  /// `impls`) and runs every (input, implementation) pair on that lowered
-  /// form. Results equal looping run().
+  /// `impls`), interprets each input once per FpSemantics class among
+  /// `impls`, and prices that interpretation for every implementation of
+  /// the class. Results equal looping run().
   [[nodiscard]] std::vector<core::RunResult> run_batch(
       const TestCase& test, const std::vector<std::size_t>& input_indices,
       const std::vector<std::string>& impls) override;
@@ -82,11 +93,27 @@ class SimExecutor final : public Executor {
   [[nodiscard]] const SimExecutorOptions& options() const noexcept { return options_; }
 
  private:
+  /// Interprets `input` under `fp` at this executor's team size and budget.
+  [[nodiscard]] interp::InterpResult interpret(const interp::Compiled& lowered,
+                                               const fp::InputSet& input,
+                                               const interp::FpSemantics& fp) const;
+  /// Prices one interpretation for `prof`: fault decision, simulated time,
+  /// counters, hang check and status, all keyed by that profile's run hash.
+  [[nodiscard]] DetailedRun price(const TestCase& test,
+                                  const interp::InterpResult& ir,
+                                  std::uint64_t fingerprint,
+                                  const fp::InputSet& input,
+                                  const rt::OmpImplProfile& prof) const;
+  /// One run, traced as a sim_run span. Interprets into `ir` unless
+  /// `memo_hit`, in which case `ir` already holds this input's
+  /// interpretation under `prof`'s semantics; then prices `ir`.
   [[nodiscard]] DetailedRun run_lowered(const TestCase& test,
                                         const interp::Compiled& lowered,
                                         std::uint64_t fingerprint,
                                         std::size_t input_index,
-                                        const std::string& impl_name) const;
+                                        const rt::OmpImplProfile& prof,
+                                        interp::InterpResult& ir,
+                                        bool memo_hit) const;
 
   std::vector<rt::OmpImplProfile> profiles_;
   SimExecutorOptions options_;

@@ -26,6 +26,10 @@ struct FpSemantics {
   /// value of reduction tests by rounding, occasionally by a lot when
   /// contributions cancel; the differ then reports output divergence.
   bool reassociate_reductions = false;
+
+  /// Equal semantics interpret every program bit-identically (at one team
+  /// size and step budget), so SimExecutor shares their interpretations.
+  friend bool operator==(const FpSemantics&, const FpSemantics&) = default;
 };
 
 /// Dynamic event counts of one test execution.

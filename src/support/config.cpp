@@ -376,6 +376,19 @@ void CampaignConfig::validate() const {
   if (threads < 0) throw ConfigError("threads must be >= 0 (0 = hardware concurrency)");
 }
 
+std::int64_t parse_int_arg(const std::string& name, const std::string& text,
+                           std::int64_t min_value, std::int64_t max_value) {
+  ConfigFile args;
+  args.set(name, text);
+  return args.get_int(name, 0, min_value, max_value);
+}
+
+double parse_double_arg(const std::string& name, const std::string& text) {
+  ConfigFile args;
+  args.set(name, text);
+  return args.get_double(name, 0.0);
+}
+
 std::size_t hardware_thread_count() noexcept {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);

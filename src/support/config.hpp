@@ -56,6 +56,16 @@ class ConfigFile {
   std::map<std::string, std::string> entries_;
 };
 
+/// Checked command-line values, parsed by the config file's rules so garbage
+/// ("2x", "") or an out-of-range value is a ConfigError naming `name`
+/// instead of a silent prefix or zero.
+[[nodiscard]] std::int64_t parse_int_arg(const std::string& name,
+                                         const std::string& text,
+                                         std::int64_t min_value,
+                                         std::int64_t max_value);
+[[nodiscard]] double parse_double_arg(const std::string& name,
+                                      const std::string& text);
+
 /// Bounds on random program generation (Section III-C; Fig. 2). Defaults are
 /// the paper's evaluation configuration (Section V-A).
 struct GeneratorConfig {

@@ -2,14 +2,19 @@
 // determinism and aggregation, report rendering, and the case-study analyzer.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "analysis/race_analyzer.hpp"
 #include "harness/campaign.hpp"
 #include "harness/perf_analyzer.hpp"
 #include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
+#include "runtime/cost_model.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
+#include "support/telemetry.hpp"
 
 namespace ompfuzz::harness {
 namespace {
@@ -95,6 +100,151 @@ TEST(SimExecutor, BudgetProducesSkipped) {
   const TestCase test = campaign.make_test_case(0);
   const auto r = exec.run(test, 0, "gcc");
   EXPECT_EQ(r.status, core::RunStatus::Skipped);
+}
+
+/// One run rebuilt from the public layer functions SimExecutor composes:
+/// interp::execute, then decide_fault, simulate_time and synthesize_counters
+/// under the profile's own run hash.
+DetailedRun reference_run(const SimExecutor& exec, const TestCase& test,
+                          std::size_t input_index, const std::string& impl) {
+  const rt::OmpImplProfile& prof = exec.profile(impl);
+  const SimExecutorOptions& opt = exec.options();
+  const fp::InputSet& input = test.inputs.at(input_index);
+  interp::InterpOptions iopt;
+  iopt.fp = prof.fp;
+  iopt.num_threads_override = opt.num_threads;
+  iopt.max_steps = opt.max_interp_steps;
+  const interp::InterpResult ir = interp::execute(test.program, input, iopt);
+
+  DetailedRun out;
+  out.result.impl = impl;
+  out.events = ir.events;
+  if (ir.over_budget) {
+    out.result.status = core::RunStatus::Skipped;
+    return out;
+  }
+  const std::uint64_t run_hash = hash_combine(
+      hash_combine(test.program.fingerprint(), input.hash()), fnv1a64(impl));
+  out.fault = rt::decide_fault(test.features, opt.num_threads, prof, run_hash);
+  out.time = rt::simulate_time(ir.events, test.features, opt.num_threads, prof,
+                               run_hash);
+  out.counters = rt::synthesize_counters(ir.events, out.time, opt.num_threads,
+                                         prof, run_hash);
+  if (out.fault.kind == rt::FaultKind::Crash) {
+    out.result.status = core::RunStatus::Crash;
+  } else if (out.fault.kind == rt::FaultKind::Hang ||
+             out.time.total_us() > static_cast<double>(opt.hang_timeout_us)) {
+    out.result.status = core::RunStatus::Hang;
+  } else {
+    out.result.status = core::RunStatus::Ok;
+    out.result.time_us = out.time.total_us();
+    out.result.output = ir.comp;
+  }
+  return out;
+}
+
+void expect_same_result(const core::RunResult& a, const core::RunResult& b) {
+  EXPECT_EQ(a.impl, b.impl);
+  EXPECT_EQ(a.status, b.status) << a.impl;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.time_us),
+            std::bit_cast<std::uint64_t>(b.time_us)) << a.impl;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.output),
+            std::bit_cast<std::uint64_t>(b.output)) << a.impl;
+  EXPECT_EQ(a.harness_failure, b.harness_failure) << a.impl;
+}
+
+/// Bitwise equality of a struct made only of 8-byte scalars (no padding).
+template <typename T>
+bool same_bits(const T& a, const T& b) {
+  static_assert(sizeof(T) % 8 == 0 && alignof(T) == 8);
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+void expect_same_detailed(const DetailedRun& a, const DetailedRun& b) {
+  expect_same_result(a.result, b.result);
+  EXPECT_TRUE(same_bits(a.events, b.events)) << a.result.impl;
+  EXPECT_TRUE(same_bits(a.time, b.time)) << a.result.impl;
+  EXPECT_TRUE(same_bits(a.counters, b.counters)) << a.result.impl;
+  EXPECT_EQ(a.fault.kind, b.fault.kind) << a.result.impl;
+  EXPECT_EQ(a.fault.detail, b.fault.detail) << a.result.impl;
+}
+
+std::uint64_t memo_hits() {
+  return telemetry::Registry::global().snapshot().counter("sim.memo_hits");
+}
+
+// run_batch interprets each input once per FpSemantics class and prices the
+// result per profile. Over the default and the feature-gated program
+// streams, with a budget that cuts some shared interpretations short, every
+// batched result must equal looping run(), and run_detailed must equal the
+// layer functions composed by hand. Only profiles with equal semantics share:
+// a renamed clang and intel (clang's semantics) are memo hits; intel with FMA
+// contraction and gcc without reassociation are not.
+TEST(SimExecutor, RunBatchSharesInterpretationsAndEqualsRun) {
+  rt::OmpImplProfile intel_fma = rt::intel_profile();
+  intel_fma.name = "intel_fma";
+  intel_fma.fp.contract_fma = true;
+  rt::OmpImplProfile clang_copy = rt::clang_profile();
+  clang_copy.name = "clang_copy";
+  rt::OmpImplProfile gcc_ordered = rt::gcc_profile();
+  gcc_ordered.name = "gcc_ordered";
+  gcc_ordered.fp.reassociate_reductions = false;
+  SimExecutorOptions opt = tiny_options();
+  opt.max_interp_steps = 6'000;
+  SimExecutor exec({rt::gcc_profile(), rt::clang_profile(), rt::intel_profile(),
+                    intel_fma, clang_copy, gcc_ordered},
+                   opt);
+  const std::vector<std::string> impls = exec.implementations();
+
+  int shared_skipped = 0;
+  int shared_ok = 0;
+  for (const char* features : {"", "atomic,single,master,schedule,rangeidx"}) {
+    CampaignConfig cfg = tiny_config(8);
+    cfg.inputs_per_program = 3;
+    if (*features != '\0') cfg.generator.enable_features(features);
+    Campaign campaign(cfg, exec);
+    for (int p = 0; p < cfg.num_programs; ++p) {
+      const TestCase test = campaign.make_test_case(p);
+      const std::vector<std::size_t> inputs = {2, 0, 1};
+      const std::uint64_t hits_before = memo_hits();
+      const auto batch = exec.run_batch(test, inputs, impls);
+      // intel and clang_copy reuse clang's interpretation of each input.
+      EXPECT_EQ(memo_hits() - hits_before, 2 * inputs.size());
+      ASSERT_EQ(batch.size(), inputs.size() * impls.size());
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        for (std::size_t j = 0; j < impls.size(); ++j) {
+          const auto& batched = batch[i * impls.size() + j];
+          const DetailedRun detailed = exec.run_detailed(test, inputs[i], impls[j]);
+          expect_same_result(batched, exec.run(test, inputs[i], impls[j]));
+          expect_same_detailed(detailed, reference_run(exec, test, inputs[i], impls[j]));
+          expect_same_result(batched, detailed.result);
+          if (impls[j] == "intel" || impls[j] == "clang_copy") {
+            (batched.status == core::RunStatus::Skipped ? shared_skipped : shared_ok)++;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(shared_skipped, 0) << "no shared interpretation ran over budget";
+  EXPECT_GT(shared_ok, 0) << "every shared interpretation ran over budget";
+
+  // Batches without equal semantics interpret every run.
+  Campaign campaign(tiny_config(), exec);
+  const TestCase test = campaign.make_test_case(0);
+  for (const std::vector<std::string>& distinct :
+       {std::vector<std::string>{"gcc", "gcc_ordered"},
+        std::vector<std::string>{"gcc", "clang", "intel_fma", "gcc_ordered"},
+        std::vector<std::string>{"intel"}}) {
+    const std::uint64_t hits_before = memo_hits();
+    const auto batch = exec.run_batch(test, {0, 1}, distinct);
+    EXPECT_EQ(memo_hits(), hits_before);
+    for (std::size_t i = 0; i < 2; ++i) {
+      for (std::size_t j = 0; j < distinct.size(); ++j) {
+        expect_same_result(batch[i * distinct.size() + j],
+                           exec.run(test, i, distinct[j]));
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ campaign -----

@@ -262,6 +262,24 @@ TEST(Config, IntTypedSectionsRejectOversizedValues) {
                ConfigError);
 }
 
+// The examples parse their command-line numbers through these: garbage,
+// an empty string or a value outside the range is an error naming the
+// argument, never a silent prefix or zero.
+TEST(Config, CommandLineArgsParseByConfigRules) {
+  EXPECT_EQ(parse_int_arg("num_programs", "12", 1, 100), 12);
+  EXPECT_DOUBLE_EQ(parse_double_arg("--inject-faults", "0.05"), 0.05);
+  for (const char* bad : {"2x", "", "x", " 3", "0", "101", "99999999999999999999"}) {
+    try {
+      (void)parse_int_arg("num_programs", bad, 1, 100);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("'num_programs'"), std::string::npos);
+    }
+  }
+  EXPECT_THROW((void)parse_double_arg("--inject-faults", "0.5x"), ConfigError);
+  EXPECT_THROW((void)parse_double_arg("--inject-faults", ""), ConfigError);
+}
+
 TEST(Config, StoreSectionParsesAndValidates) {
   const auto defaults = StoreConfig::from_config(ConfigFile::parse(""));
   EXPECT_FALSE(defaults.enabled);

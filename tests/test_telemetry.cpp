@@ -223,13 +223,16 @@ TEST(TelemetryRegistry, CampaignRunMetricsDeterministicAcrossThreadCounts) {
 // SimExecutor's per-run metrics: one bump per run and per lowered program,
 // the same deltas at any thread count, and nothing in the report. A small
 // step budget makes some runs end over budget, so the over-budget split of
-// the interpreter time is exercised too.
+// the interpreter time is exercised too. intel shares clang's semantics, so
+// every intel run is a memo hit: it prices clang's interpretation, and the
+// interpretation histograms count clang's alone.
 TEST(TelemetryRegistry, SimRunMetricsCountEveryRunAtAnyThreadCount) {
   struct Observed {
     MetricsSnapshot metrics;
     std::string report;
     int runs = 0;
     int skipped = 0;
+    int skipped_memo_hits = 0;
   };
   const auto run_with_threads = [](int threads) {
     CampaignConfig cfg;
@@ -243,10 +246,12 @@ TEST(TelemetryRegistry, SimRunMetricsCountEveryRunAtAnyThreadCount) {
     harness::SimExecutor exec{opt};
     harness::Campaign campaign(cfg, exec);
     const harness::CampaignResult result = campaign.run();
-    Observed out{campaign.run_metrics(), harness::to_json(result), result.total_runs, 0};
+    Observed out{campaign.run_metrics(), harness::to_json(result), result.total_runs, 0, 0};
     for (const auto& outcome : result.outcomes) {
       for (const auto& run : outcome.runs) {
-        out.skipped += run.status == core::RunStatus::Skipped ? 1 : 0;
+        const bool skipped = run.status == core::RunStatus::Skipped;
+        out.skipped += skipped ? 1 : 0;
+        out.skipped_memo_hits += skipped && run.impl == "intel" ? 1 : 0;
       }
     }
     return out;
@@ -267,8 +272,12 @@ TEST(TelemetryRegistry, SimRunMetricsCountEveryRunAtAnyThreadCount) {
     const auto* over = m.find("sim.interp_nanos.over_budget");
     ASSERT_NE(ok, nullptr);
     ASSERT_NE(over, nullptr);
-    EXPECT_EQ(ok->counter + over->counter, m.counter("sim.runs"));
-    EXPECT_EQ(over->counter, m.counter("sim.over_budget_runs"));
+    EXPECT_EQ(m.counter("sim.memo_hits"), static_cast<std::uint64_t>(o->runs / 3));
+    EXPECT_EQ(ok->counter + over->counter + m.counter("sim.memo_hits"),
+              m.counter("sim.runs"));
+    EXPECT_EQ(over->counter + static_cast<std::uint64_t>(o->skipped_memo_hits),
+              m.counter("sim.over_budget_runs"));
+    EXPECT_GT(o->skipped_memo_hits, 0) << "a shared interpretation must run over budget";
     EXPECT_GT(over->sum, 0u);
     EXPECT_EQ(o->report.find("sim."), std::string::npos);  // snapshot only
   }
