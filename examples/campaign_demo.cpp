@@ -6,8 +6,8 @@
 //                     [--trace FILE] [--metrics FILE] [--heartbeat]
 //
 // --features takes a comma-separated subset of {atomic, single, master,
-// schedule} and switches the corresponding generator gates on (equivalent to
-// `[generator] features = ...` in the config). All gates default off, and an
+// schedule, rangeidx} and switches the corresponding generator gates on
+// (equivalent to `[generator] features = ...` in the config). All gates default off, and an
 // off gate draws nothing from the generator's RNG, so the default program
 // stream is bit-identical to builds that predate the gates.
 //
@@ -138,7 +138,7 @@ int run_demo(int argc, char** argv) {
       if (a + 1 >= argc) {
         throw ConfigError(
             "--features needs a comma-separated list "
-            "(atomic, single, master, schedule)");
+            "(atomic, single, master, schedule, rangeidx)");
       }
       features_override = argv[++a];
     } else if (std::strcmp(argv[a], "--trace") == 0) {

@@ -10,7 +10,7 @@
 //   harness::SimExecutor    -> differential execution across implementations
 //   core::OutlierDetector   -> the Section IV outlier verdict
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "analysis/race_analyzer.hpp"
 #include "core/generator.hpp"
@@ -19,11 +19,22 @@
 #include "fp/input_gen.hpp"
 #include "harness/campaign.hpp"
 #include "harness/sim_executor.hpp"
+#include "support/config.hpp"
+#include "support/error.hpp"
 #include "support/string_utils.hpp"
 
 int main(int argc, char** argv) {
   using namespace ompfuzz;
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  std::uint64_t seed = 7;
+  try {
+    if (argc > 1) {
+      seed = static_cast<std::uint64_t>(parse_int_arg(
+          "seed", argv[1], 0, std::numeric_limits<std::int64_t>::max()));
+    }
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
+  }
 
   // 1. Generate a random OpenMP test program.
   GeneratorConfig gen_cfg;

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
                                                  std::numeric_limits<int>::max()))
                  : 8;
     cfg.seed = argc > 2 ? static_cast<std::uint64_t>(parse_int_arg(
-                              "seed", argv[2], std::numeric_limits<std::int64_t>::min(),
+                              "seed", argv[2], 0,
                               std::numeric_limits<std::int64_t>::max()))
                         : 51966;
   } catch (const ConfigError& e) {

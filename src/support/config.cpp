@@ -1,23 +1,185 @@
 #include "support/config.hpp"
 
-#include <cctype>
 #include <charconv>
+#include <concepts>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "support/error.hpp"
+#include "support/fault_injection.hpp"
 #include "support/string_utils.hpp"
 
 namespace ompfuzz {
 
 namespace {
 
-/// Strips an unquoted trailing comment beginning with ';' or '#'.
-std::string_view strip_comment(std::string_view line) noexcept {
-  const std::size_t pos = line.find_first_of(";#");
-  return pos == std::string_view::npos ? line : line.substr(0, pos);
+/// The one wording of a bound violation, whether parsing or validate() finds it.
+std::string out_of_range(const std::string& key, const auto& lo, const auto& hi,
+                         const auto& value) {
+  std::ostringstream out;
+  out << "value of '" << key << "' is out of range [" << lo << ", " << hi
+      << "]: " << value;
+  return out.str();
+}
+
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+// One schema per section: fields(config, v) calls v(key, member) for each
+// boolean or string key and v(key, member, lo, hi) for each number, with its
+// closed bound. The same rows read a section (Reader), bound-check it
+// (BoundCheck) and list the keys a file may use (reject_unknown_keys); what a
+// bound cannot say stays in the validate() bodies.
+template <class S, class C>
+concept SchemaOf = std::same_as<std::remove_cvref_t<S>, C>;
+
+void fields(SchemaOf<GeneratorConfig> auto&& g, auto&& v) {
+  v("generator.max_expression_size", g.max_expression_size, 1, kIntMax);
+  v("generator.max_nesting_levels", g.max_nesting_levels, 1, kIntMax);
+  v("generator.max_lines_in_block", g.max_lines_in_block, 1, kIntMax);
+  v("generator.array_size", g.array_size, 1, kIntMax);
+  v("generator.max_same_level_blocks", g.max_same_level_blocks, 1, kIntMax);
+  v("generator.math_func_allowed", g.math_func_allowed);
+  v("generator.math_func_probability", g.math_func_probability, 0.0, 1.0);
+  v("generator.num_threads", g.num_threads, 1, kIntMax);
+  v("generator.max_loop_trip_count", g.max_loop_trip_count, 1, kIntMax);
+  v("generator.p_if_block", g.p_if_block, 0.0, 1.0);
+  v("generator.p_for_block", g.p_for_block, 0.0, 1.0);
+  v("generator.p_openmp_block", g.p_openmp_block, 0.0, 1.0);
+  v("generator.p_reduction", g.p_reduction, 0.0, 1.0);
+  v("generator.p_critical", g.p_critical, 0.0, 1.0);
+  v("generator.p_parallel_in_loop", g.p_parallel_in_loop, 0.0, 1.0);
+  v("generator.enable_atomic", g.enable_atomic);
+  v("generator.enable_single", g.enable_single);
+  v("generator.enable_master", g.enable_master);
+  v("generator.enable_schedule", g.enable_schedule);
+  v("generator.enable_rangeidx", g.enable_rangeidx);
+  v("generator.p_atomic", g.p_atomic, 0.0, 1.0);
+  v("generator.p_single", g.p_single, 0.0, 1.0);
+  v("generator.p_master", g.p_master, 0.0, 1.0);
+  v("generator.p_schedule", g.p_schedule, 0.0, 1.0);
+  v("generator.p_rangeidx", g.p_rangeidx, 0.0, 1.0);
+}
+
+void fields(SchemaOf<ExecutorConfig> auto&& e, auto&& v) {
+  v("executor.work_dir", e.work_dir);
+  v("executor.run_timeout_ms", e.run_timeout_ms, 1, kInt64Max);
+  v("executor.compile_timeout_ms", e.compile_timeout_ms, 1, kInt64Max);
+  v("executor.concurrent_runs", e.concurrent_runs);
+  v("executor.max_inflight", e.max_inflight, 0, kIntMax);  // 0 = 2x cores
+}
+
+void fields(SchemaOf<SchedulerConfig> auto&& s, auto&& v) {
+  v("scheduler.backends", s.backends, 1, kIntMax);
+  v("scheduler.batch_size", s.batch_size, 1, kIntMax);
+  v("scheduler.steal", s.steal);
+}
+
+void fields(SchemaOf<RetryConfig> auto&& r, auto&& v) {
+  v("retry.max_attempts", r.max_attempts, 1, kIntMax);  // 1 = no retries
+  v("retry.base_ms", r.base_ms, 0, kInt64Max);
+  v("retry.cap_ms", r.cap_ms, 0, kInt64Max);
+  v("retry.backend_death_threshold", r.backend_death_threshold, 1, kIntMax);
+}
+
+void fields(SchemaOf<StoreConfig> auto&& s, auto&& v) {
+  v("store.enabled", s.enabled);
+  v("store.dir", s.dir);
+  v("store.max_bytes", s.max_bytes, 0, kInt64Max);
+}
+
+void fields(SchemaOf<FaultConfig> auto&& f, auto&& v) {
+  v("faults.enabled", f.enabled);
+  v("faults.rate", f.rate, 0.0, 1.0);
+  v("faults.seed", f.seed, 0, kInt64Max);
+  v("faults.sites", f.sites);
+}
+
+void fields(SchemaOf<TelemetryConfig> auto&& t, auto&& v) {
+  v("telemetry.trace_file", t.trace_file);
+  v("telemetry.metrics_file", t.metrics_file);
+  v("telemetry.interval_ms", t.interval_ms, 1, kInt64Max);
+  v("telemetry.heartbeat", t.heartbeat);
+}
+
+/// The [generator] and [retry] sections are CampaignConfig members with
+/// schemas of their own.
+void fields(SchemaOf<CampaignConfig> auto&& c, auto&& v) {
+  v("campaign.num_programs", c.num_programs, 1, kIntMax);
+  v("campaign.inputs_per_program", c.inputs_per_program, 1, kIntMax);
+  v("campaign.seed", c.seed, 0, kInt64Max);
+  v("campaign.alpha", c.alpha);  // > 0, checked by validate()
+  v("campaign.beta", c.beta);    // > 1, checked by validate()
+  v("campaign.min_time_us", c.min_time_us, 0, kInt64Max);
+  v("campaign.threads", c.threads, 0, kIntMax);  // 0 = hardware concurrency
+}
+
+/// Reads each row's key through the checked getters. An integer is
+/// bound-checked as it is read, so it cannot wrap when narrowed to its member.
+struct Reader {
+  const ConfigFile& file;
+  void operator()(const std::string& key, bool& m) const { m = file.get_bool(key, m); }
+  void operator()(const std::string& key, std::string& m) const { m = file.get_or(key, m); }
+  void operator()(const std::string& key, double& m, auto...) const {
+    m = file.get_double(key, m);
+  }
+  template <std::integral T>
+  void operator()(const std::string& key, T& m, std::int64_t lo, std::int64_t hi) const {
+    m = static_cast<T>(file.get_int(key, static_cast<std::int64_t>(m), lo, hi));
+  }
+};
+
+/// Throws ConfigError for a member outside its row's bound (NaN included).
+struct BoundCheck {
+  void operator()(const std::string& /*key*/, const auto& /*m*/) const {}
+  template <class T>
+  void operator()(const std::string& key, const T& m, auto lo, auto hi) const {
+    if (!(m >= static_cast<T>(lo) && m <= static_cast<T>(hi))) {
+      throw ConfigError(out_of_range(key, lo, hi, m));
+    }
+  }
+};
+
+/// Reads one section's rows from `file` and validates the result.
+template <class C>
+C read_section(const ConfigFile& file) {
+  C config;
+  fields(config, Reader{file});
+  config.validate();
+  return config;
+}
+
+/// Rejects the first section or key in the file that no schema names, naming
+/// its line. [implementations] is free-form: its keys are implementation names.
+void reject_unknown_keys(const ConfigFile& file) {
+  std::set<std::string> known{"[implementations]", "generator.features"};
+  const auto add = [&known](const std::string& key, auto&&...) {
+    known.insert(key);
+    known.insert('[' + key.substr(0, key.find('.')).append("]"));
+  };
+  fields(GeneratorConfig{}, add);
+  fields(ExecutorConfig{}, add);
+  fields(SchedulerConfig{}, add);
+  fields(RetryConfig{}, add);
+  fields(StoreConfig{}, add);
+  fields(FaultConfig{}, add);
+  fields(TelemetryConfig{}, add);
+  fields(CampaignConfig{}, add);
+  std::map<int, std::string> unknown;  // line -> name
+  for (const auto& [name, line] : file.lines()) {
+    if (!known.contains(name) && !starts_with(name, "implementations.")) {
+      unknown.emplace(line, name);
+    }
+  }
+  if (unknown.empty()) return;
+  const auto& [line, name] = *unknown.begin();
+  throw ConfigError((name.front() == '[' ? "unknown section " + name
+                                         : "unknown key '" + name + "'") +
+                    " at line " + std::to_string(line));
 }
 
 }  // namespace
@@ -30,13 +192,16 @@ ConfigFile ConfigFile::parse(const std::string& text) {
   std::string raw;
   while (std::getline(in, raw)) {
     ++line_no;
-    const std::string_view line = trim(strip_comment(raw));
+    // A trailing comment starts at the first ';' or '#'.
+    const std::string_view line =
+        trim(std::string_view(raw).substr(0, raw.find_first_of(";#")));
     if (line.empty()) continue;
     if (line.front() == '[') {
       if (line.back() != ']' || line.size() < 3) {
         throw ConfigError("malformed section header at line " + std::to_string(line_no));
       }
       section = std::string(trim(line.substr(1, line.size() - 2)));
+      cfg.lines_.try_emplace("[" + section + "]", line_no);
       continue;
     }
     const std::size_t eq = line.find('=');
@@ -45,10 +210,14 @@ ConfigFile ConfigFile::parse(const std::string& text) {
     }
     const std::string key(trim(line.substr(0, eq)));
     const std::string value(trim(line.substr(eq + 1)));
-    if (key.empty()) {
-      throw ConfigError("empty key at line " + std::to_string(line_no));
+    if (key.empty()) throw ConfigError("empty key at line " + std::to_string(line_no));
+    const std::string name = section.empty() ? key : section + "." + key;
+    const auto [it, fresh] = cfg.lines_.try_emplace(name, line_no);
+    if (!fresh) {
+      throw ConfigError("duplicate key '" + name + "' at line " + std::to_string(line_no) +
+                        " (first at line " + std::to_string(it->second) + ")");
     }
-    cfg.set(section.empty() ? key : section + "." + key, value);
+    cfg.entries_[name] = value;
   }
   return cfg;
 }
@@ -59,10 +228,6 @@ ConfigFile ConfigFile::load(const std::string& path) {
   std::ostringstream buf;
   buf << in.rdbuf();
   return parse(buf.str());
-}
-
-bool ConfigFile::has(const std::string& key) const {
-  return entries_.contains(key);
 }
 
 std::optional<std::string> ConfigFile::get(const std::string& key) const {
@@ -76,28 +241,21 @@ std::string ConfigFile::get_or(const std::string& key,
   return get(key).value_or(fallback);
 }
 
-std::int64_t ConfigFile::get_int(const std::string& key, std::int64_t fallback) const {
-  const auto v = get(key);
-  if (!v) return fallback;
-  std::int64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
-  if (ec == std::errc::result_out_of_range) {
-    throw ConfigError("value of '" + key + "' is out of range: " + *v);
-  }
-  if (ec != std::errc() || ptr != v->data() + v->size()) {
-    throw ConfigError("value of '" + key + "' is not an integer: " + *v);
-  }
-  return out;
-}
-
 std::int64_t ConfigFile::get_int(const std::string& key, std::int64_t fallback,
                                  std::int64_t min_value,
                                  std::int64_t max_value) const {
-  const std::int64_t out = get_int(key, fallback);
+  std::int64_t out = fallback;
+  if (const auto v = get(key)) {
+    const auto [ptr, ec] = std::from_chars(v->data(), v->data() + v->size(), out);
+    if (ec == std::errc::result_out_of_range) {
+      throw ConfigError("value of '" + key + "' is out of range: " + *v);
+    }
+    if (ec != std::errc() || ptr != v->data() + v->size()) {
+      throw ConfigError("value of '" + key + "' is not an integer: " + *v);
+    }
+  }
   if (out < min_value || out > max_value) {
-    throw ConfigError("value of '" + key + "' is out of range [" +
-                      std::to_string(min_value) + ", " +
-                      std::to_string(max_value) + "]: " + std::to_string(out));
+    throw ConfigError(out_of_range(key, min_value, max_value, out));
   }
   return out;
 }
@@ -132,219 +290,93 @@ void ConfigFile::set(const std::string& key, const std::string& value) {
   entries_[key] = value;
 }
 
-namespace {
-
-/// Reads an int-typed key with the narrowing range enforced at parse time:
-/// a value that fits int64 but not int is a config error, not a silent wrap.
-int get_config_int(const ConfigFile& file, const std::string& key, int fallback) {
-  return static_cast<int>(
-      file.get_int(key, fallback, std::numeric_limits<int>::min(),
-                   std::numeric_limits<int>::max()));
-}
-
-}  // namespace
-
 GeneratorConfig GeneratorConfig::from_config(const ConfigFile& file) {
   GeneratorConfig g;
-  const auto geti = [&](const char* k, int d) {
-    return get_config_int(file, std::string("generator.") + k, d);
-  };
-  const auto getd = [&](const char* k, double d) {
-    return file.get_double(std::string("generator.") + k, d);
-  };
-  g.max_expression_size = geti("max_expression_size", g.max_expression_size);
-  g.max_nesting_levels = geti("max_nesting_levels", g.max_nesting_levels);
-  g.max_lines_in_block = geti("max_lines_in_block", g.max_lines_in_block);
-  g.array_size = geti("array_size", g.array_size);
-  g.max_same_level_blocks = geti("max_same_level_blocks", g.max_same_level_blocks);
-  g.math_func_allowed = file.get_bool("generator.math_func_allowed", g.math_func_allowed);
-  g.math_func_probability = getd("math_func_probability", g.math_func_probability);
-  g.num_threads = geti("num_threads", g.num_threads);
-  g.max_loop_trip_count = geti("max_loop_trip_count", g.max_loop_trip_count);
-  g.p_if_block = getd("p_if_block", g.p_if_block);
-  g.p_for_block = getd("p_for_block", g.p_for_block);
-  g.p_openmp_block = getd("p_openmp_block", g.p_openmp_block);
-  g.p_reduction = getd("p_reduction", g.p_reduction);
-  g.p_critical = getd("p_critical", g.p_critical);
-  g.p_parallel_in_loop = getd("p_parallel_in_loop", g.p_parallel_in_loop);
-  g.enable_atomic = file.get_bool("generator.enable_atomic", g.enable_atomic);
-  g.enable_single = file.get_bool("generator.enable_single", g.enable_single);
-  g.enable_master = file.get_bool("generator.enable_master", g.enable_master);
-  g.enable_schedule =
-      file.get_bool("generator.enable_schedule", g.enable_schedule);
-  g.enable_rangeidx =
-      file.get_bool("generator.enable_rangeidx", g.enable_rangeidx);
+  fields(g, Reader{file});
   if (const auto csv = file.get("generator.features")) g.enable_features(*csv);
-  g.p_atomic = getd("p_atomic", g.p_atomic);
-  g.p_single = getd("p_single", g.p_single);
-  g.p_master = getd("p_master", g.p_master);
-  g.p_schedule = getd("p_schedule", g.p_schedule);
-  g.p_rangeidx = getd("p_rangeidx", g.p_rangeidx);
   g.validate();
   return g;
 }
 
 void GeneratorConfig::enable_features(const std::string& csv) {
-  std::size_t pos = 0;
-  while (pos <= csv.size()) {
-    std::size_t end = csv.find(',', pos);
-    if (end == std::string::npos) end = csv.size();
-    std::string name = csv.substr(pos, end - pos);
-    // Trim surrounding whitespace so "atomic, single" parses.
-    while (!name.empty() && std::isspace(static_cast<unsigned char>(name.front()))) {
-      name.erase(name.begin());
+  for (const auto& token : split(csv, ',')) {
+    const std::string_view name = trim(token);
+    if (name == "atomic") {
+      enable_atomic = true;
+    } else if (name == "single") {
+      enable_single = true;
+    } else if (name == "master") {
+      enable_master = true;
+    } else if (name == "schedule") {
+      enable_schedule = true;
+    } else if (name == "rangeidx") {
+      enable_rangeidx = true;
+    } else if (!name.empty()) {
+      throw ConfigError("unknown generator feature: '" + std::string(name) +
+                        "' (expected atomic, single, master, schedule, or "
+                        "rangeidx)");
     }
-    while (!name.empty() && std::isspace(static_cast<unsigned char>(name.back()))) {
-      name.pop_back();
-    }
-    if (!name.empty()) {
-      if (name == "atomic") {
-        enable_atomic = true;
-      } else if (name == "single") {
-        enable_single = true;
-      } else if (name == "master") {
-        enable_master = true;
-      } else if (name == "schedule") {
-        enable_schedule = true;
-      } else if (name == "rangeidx") {
-        enable_rangeidx = true;
-      } else {
-        throw ConfigError("unknown generator feature: '" + name +
-                          "' (expected atomic, single, master, schedule, or "
-                          "rangeidx)");
-      }
-    }
-    pos = end + 1;
   }
 }
 
-void GeneratorConfig::validate() const {
-  const auto require = [](bool ok, const char* what) {
-    if (!ok) throw ConfigError(what);
-  };
-  require(max_expression_size >= 1, "max_expression_size must be >= 1");
-  require(max_nesting_levels >= 1, "max_nesting_levels must be >= 1");
-  require(max_lines_in_block >= 1, "max_lines_in_block must be >= 1");
-  require(array_size >= 1, "array_size must be >= 1");
-  require(max_same_level_blocks >= 1, "max_same_level_blocks must be >= 1");
-  require(num_threads >= 1, "num_threads must be >= 1");
-  require(max_loop_trip_count >= 1, "max_loop_trip_count must be >= 1");
-  require(math_func_probability >= 0.0 && math_func_probability <= 1.0,
-          "math_func_probability must be in [0,1]");
-  for (double p : {p_if_block, p_for_block, p_openmp_block, p_reduction,
-                   p_critical, p_parallel_in_loop}) {
-    require(p >= 0.0 && p <= 1.0, "block probabilities must be in [0,1]");
-  }
-  for (double p : {p_atomic, p_single, p_master, p_schedule, p_rangeidx}) {
-    require(p >= 0.0 && p <= 1.0, "feature probabilities must be in [0,1]");
-  }
-}
+void GeneratorConfig::validate() const { fields(*this, BoundCheck{}); }
 
 ExecutorConfig ExecutorConfig::from_config(const ConfigFile& file) {
-  ExecutorConfig e;
-  e.work_dir = file.get_or("executor.work_dir", e.work_dir);
-  e.run_timeout_ms = file.get_int("executor.run_timeout_ms", e.run_timeout_ms);
-  e.compile_timeout_ms =
-      file.get_int("executor.compile_timeout_ms", e.compile_timeout_ms);
-  e.concurrent_runs =
-      file.get_bool("executor.concurrent_runs", e.concurrent_runs);
-  e.max_inflight = get_config_int(file, "executor.max_inflight", e.max_inflight);
-  e.validate();
-  return e;
+  return read_section<ExecutorConfig>(file);
 }
 
 void ExecutorConfig::validate() const {
+  fields(*this, BoundCheck{});
   if (work_dir.empty()) throw ConfigError("executor.work_dir must not be empty");
-  if (run_timeout_ms <= 0) throw ConfigError("executor.run_timeout_ms must be > 0");
-  if (compile_timeout_ms <= 0) {
-    throw ConfigError("executor.compile_timeout_ms must be > 0");
-  }
-  if (max_inflight < 0) {
-    throw ConfigError(
-        "executor.max_inflight must be >= 0 (0 = 2x hardware concurrency)");
-  }
 }
 
 SchedulerConfig SchedulerConfig::from_config(const ConfigFile& file) {
-  SchedulerConfig s;
-  s.backends = get_config_int(file, "scheduler.backends", s.backends);
-  s.batch_size = get_config_int(file, "scheduler.batch_size", s.batch_size);
-  s.steal = file.get_bool("scheduler.steal", s.steal);
-  s.validate();
-  return s;
+  return read_section<SchedulerConfig>(file);
 }
 
-void SchedulerConfig::validate() const {
-  if (backends < 1) throw ConfigError("scheduler.backends must be >= 1");
-  if (batch_size < 1) throw ConfigError("scheduler.batch_size must be >= 1");
-}
+void SchedulerConfig::validate() const { fields(*this, BoundCheck{}); }
 
 RetryConfig RetryConfig::from_config(const ConfigFile& file) {
-  RetryConfig r;
-  r.max_attempts = get_config_int(file, "retry.max_attempts", r.max_attempts);
-  r.base_ms = file.get_int("retry.base_ms", r.base_ms);
-  r.cap_ms = file.get_int("retry.cap_ms", r.cap_ms);
-  r.backend_death_threshold = get_config_int(
-      file, "retry.backend_death_threshold", r.backend_death_threshold);
-  r.validate();
-  return r;
+  return read_section<RetryConfig>(file);
 }
 
-void RetryConfig::validate() const {
-  if (max_attempts < 1) {
-    throw ConfigError("retry.max_attempts must be >= 1 (1 = no retries)");
-  }
-  if (base_ms < 0) throw ConfigError("retry.base_ms must be >= 0");
-  if (cap_ms < 0) throw ConfigError("retry.cap_ms must be >= 0");
-  if (backend_death_threshold < 1) {
-    throw ConfigError("retry.backend_death_threshold must be >= 1");
-  }
-}
+void RetryConfig::validate() const { fields(*this, BoundCheck{}); }
 
 StoreConfig StoreConfig::from_config(const ConfigFile& file) {
-  StoreConfig s;
-  s.enabled = file.get_bool("store.enabled", s.enabled);
-  s.dir = file.get_or("store.dir", s.dir);
-  s.max_bytes = file.get_int("store.max_bytes", s.max_bytes, 0,
-                             std::numeric_limits<std::int64_t>::max());
-  s.validate();
-  return s;
+  return read_section<StoreConfig>(file);
 }
 
 void StoreConfig::validate() const {
+  fields(*this, BoundCheck{});
   if (dir.empty()) throw ConfigError("store.dir must not be empty");
-  if (max_bytes < 0) throw ConfigError("store.max_bytes must be >= 0");
 }
 
-TelemetryConfig TelemetryConfig::from_config(const ConfigFile& file) {
-  TelemetryConfig t;
-  t.trace_file = file.get_or("telemetry.trace_file", t.trace_file);
-  t.metrics_file = file.get_or("telemetry.metrics_file", t.metrics_file);
-  t.interval_ms = file.get_int("telemetry.interval_ms", t.interval_ms);
-  t.heartbeat = file.get_bool("telemetry.heartbeat", t.heartbeat);
-  t.validate();
-  return t;
+FaultConfig FaultConfig::from_config(const ConfigFile& file) {
+  return read_section<FaultConfig>(file);
 }
 
-void TelemetryConfig::validate() const {
-  if (interval_ms <= 0) {
-    throw ConfigError("telemetry.interval_ms must be > 0");
+void FaultConfig::validate() const {
+  fields(*this, BoundCheck{});
+  for (const auto& token : split(sites, ',')) {
+    const auto name = trim(token);
+    if (!name.empty() && !fault_site_by_name(name)) {
+      throw ConfigError("faults.sites names unknown site '" + std::string(name) + "'");
+    }
   }
 }
 
+TelemetryConfig TelemetryConfig::from_config(const ConfigFile& file) {
+  return read_section<TelemetryConfig>(file);
+}
+
+void TelemetryConfig::validate() const { fields(*this, BoundCheck{}); }
+
 CampaignConfig CampaignConfig::from_config(const ConfigFile& file) {
+  reject_unknown_keys(file);
   CampaignConfig c;
   c.generator = GeneratorConfig::from_config(file);
   c.retry = RetryConfig::from_config(file);
-  c.num_programs = get_config_int(file, "campaign.num_programs", c.num_programs);
-  c.inputs_per_program =
-      get_config_int(file, "campaign.inputs_per_program", c.inputs_per_program);
-  c.seed = static_cast<std::uint64_t>(file.get_int("campaign.seed",
-                                                   static_cast<std::int64_t>(c.seed)));
-  c.alpha = file.get_double("campaign.alpha", c.alpha);
-  c.beta = file.get_double("campaign.beta", c.beta);
-  c.min_time_us = file.get_int("campaign.min_time_us", c.min_time_us);
-  c.threads = get_config_int(file, "campaign.threads", c.threads);
+  fields(c, Reader{file});
 
   // Implementations are listed as "implementations.NAME = profile_or_command".
   // A value starting with "profile:" selects a simulated runtime profile;
@@ -368,12 +400,9 @@ CampaignConfig CampaignConfig::from_config(const ConfigFile& file) {
 void CampaignConfig::validate() const {
   generator.validate();
   retry.validate();
-  if (num_programs < 1) throw ConfigError("num_programs must be >= 1");
-  if (inputs_per_program < 1) throw ConfigError("inputs_per_program must be >= 1");
-  if (alpha <= 0.0) throw ConfigError("alpha must be > 0");
-  if (beta <= 1.0) throw ConfigError("beta must be > 1");
-  if (min_time_us < 0) throw ConfigError("min_time_us must be >= 0");
-  if (threads < 0) throw ConfigError("threads must be >= 0 (0 = hardware concurrency)");
+  fields(*this, BoundCheck{});
+  if (!(alpha > 0.0)) throw ConfigError("campaign.alpha must be > 0");
+  if (!(beta > 1.0)) throw ConfigError("campaign.beta must be > 1");
 }
 
 std::int64_t parse_int_arg(const std::string& name, const std::string& text,

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -21,28 +22,26 @@ namespace ompfuzz {
 /// Keys are case-sensitive; lookup is by "section.key".
 class ConfigFile {
  public:
-  ConfigFile() = default;
-
-  /// Parses INI text. Throws ConfigError on malformed lines.
+  /// Parses INI text. Throws ConfigError on malformed lines and on a key
+  /// given twice, naming both lines.
   static ConfigFile parse(const std::string& text);
 
   /// Loads and parses a file. Throws ConfigError if unreadable.
   static ConfigFile load(const std::string& path);
 
-  [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] std::string get_or(const std::string& key,
                                    const std::string& fallback) const;
   /// Typed getters throw ConfigError if present but unparsable — including
   /// trailing garbage ("1.5x") and values outside the target type's range,
   /// which are rejected loudly instead of being silently truncated.
-  [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  /// Range-checked variant: throws ConfigError unless the parsed value lies
-  /// in [min_value, max_value]. Use wherever the result is narrowed (e.g. to
-  /// int) so an oversized config value cannot wrap around quietly.
-  [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback,
-                                     std::int64_t min_value,
-                                     std::int64_t max_value) const;
+  /// get_int also throws unless the value lies in [min_value, max_value]:
+  /// bound it wherever the result is narrowed (e.g. to int) so an oversized
+  /// config value cannot wrap around quietly.
+  [[nodiscard]] std::int64_t get_int(
+      const std::string& key, std::int64_t fallback,
+      std::int64_t min_value = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max_value = std::numeric_limits<std::int64_t>::max()) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
@@ -51,9 +50,13 @@ class ConfigFile {
   [[nodiscard]] const std::map<std::string, std::string>& entries() const {
     return entries_;
   }
+  /// The line of each parsed key ("section.key") and of each section's first
+  /// header ("[section]"), so errors can point at it. set() adds no line.
+  [[nodiscard]] const std::map<std::string, int>& lines() const { return lines_; }
 
  private:
   std::map<std::string, std::string> entries_;
+  std::map<std::string, int> lines_;
 };
 
 /// Checked command-line values, parsed by the config file's rules so garbage
@@ -65,6 +68,10 @@ class ConfigFile {
                                          std::int64_t max_value);
 [[nodiscard]] double parse_double_arg(const std::string& name,
                                       const std::string& text);
+
+// One struct per INI section: `from_config` reads it (absent keys keep their
+// defaults) and validates; `validate()` throws ConfigError for a value outside
+// its bound. config.cpp holds one (key, member, bound) schema per section.
 
 /// Bounds on random program generation (Section III-C; Fig. 2). Defaults are
 /// the paper's evaluation configuration (Section V-A).
@@ -112,9 +119,7 @@ struct GeneratorConfig {
   /// unknown names.
   void enable_features(const std::string& csv);
 
-  /// Reads the [generator] section; unspecified keys keep their defaults.
   static GeneratorConfig from_config(const ConfigFile& file);
-  /// Validates ranges (e.g. positive sizes); throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -140,9 +145,7 @@ struct ExecutorConfig {
   /// 0 = 2x hardware concurrency.
   int max_inflight = 0;
 
-  /// Reads the [executor] section; unspecified keys keep their defaults.
   static ExecutorConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -161,9 +164,7 @@ struct SchedulerConfig {
   /// hang-heavy shard cannot strand the rest of its batch on one worker.
   bool steal = true;
 
-  /// Reads the [scheduler] section; unspecified keys keep their defaults.
   static SchedulerConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -181,9 +182,7 @@ struct StoreConfig {
   /// campaign, pinning the records its checkpoint journal still references.
   std::int64_t max_bytes = 0;
 
-  /// Reads the [store] section; unspecified keys keep their defaults.
   static StoreConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -208,9 +207,7 @@ struct RetryConfig {
   /// as quarantined losses otherwise.
   int backend_death_threshold = 4;
 
-  /// Reads the [retry] section; unspecified keys keep their defaults.
   static RetryConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -230,9 +227,7 @@ struct FaultConfig {
   /// empty = all sites.
   std::string sites;
 
-  /// Reads the [faults] section; unspecified keys keep their defaults.
   static FaultConfig from_config(const ConfigFile& file);
-  /// Validates ranges and site names; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -253,9 +248,7 @@ struct TelemetryConfig {
   /// store hit-rate, live backends).
   bool heartbeat = false;
 
-  /// Reads the [telemetry] section; unspecified keys keep their defaults.
   static TelemetryConfig from_config(const ConfigFile& file);
-  /// Validates ranges; throws ConfigError otherwise.
   void validate() const;
 };
 
@@ -275,6 +268,8 @@ struct CampaignConfig {
   /// Results are identical for every value (deterministic sharding).
   int threads = 1;
 
+  /// Reads every section a campaign uses, after rejecting any key or section
+  /// no section schema names ([implementations] is free-form).
   static CampaignConfig from_config(const ConfigFile& file);
   void validate() const;
 };

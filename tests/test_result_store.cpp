@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -38,6 +39,8 @@ std::string temp_dir() {
   static int counter = 0;
   std::string dir = ::testing::TempDir() + "/ompfuzz_store_" +
                     std::to_string(getpid()) + "_" + std::to_string(counter++);
+  // A recycled pid can name a directory an earlier run left behind.
+  std::filesystem::remove_all(dir);
   mkdir(dir.c_str(), 0755);
   return dir;
 }

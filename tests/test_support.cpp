@@ -6,7 +6,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "support/config.hpp"
 #include "support/error.hpp"
@@ -427,6 +431,306 @@ TEST(Config, CampaignValidationRejectsBadThresholds) {
   c = CampaignConfig{};
   c.beta = 1.0;
   EXPECT_THROW(c.validate(), ConfigError);
+}
+
+// ---------------------------------------------------------- config schema --
+
+/// campaign_demo's built-in configuration (kDefaultConfig in
+/// examples/campaign_demo.cpp).
+constexpr const char* kDemoIni = R"(
+; ompfuzz campaign configuration (paper Section V-A shape, laptop scale)
+[generator]
+max_expression_size = 5
+max_nesting_levels = 3
+max_lines_in_block = 10
+array_size = 1000
+max_same_level_blocks = 3
+math_func_allowed = true
+math_func_probability = 0.01
+num_threads = 32
+max_loop_trip_count = 100
+
+[campaign]
+num_programs = 40
+inputs_per_program = 3
+seed = 51966
+alpha = 0.2
+beta = 1.5
+min_time_us = 1000
+
+[implementations]
+gcc = profile: libgomp
+clang = profile: libomp
+intel = profile: libiomp5
+)";
+
+/// Every key of every section, each set away from its default.
+constexpr const char* kEveryKeyIni = R"([generator]
+max_expression_size = 6
+max_nesting_levels = 4
+max_lines_in_block = 9
+array_size = 512
+max_same_level_blocks = 2
+math_func_allowed = false
+math_func_probability = 0.02
+num_threads = 8
+max_loop_trip_count = 50
+p_if_block = 0.2
+p_for_block = 0.3
+p_openmp_block = 0.4
+p_reduction = 0.6
+p_critical = 0.1
+p_parallel_in_loop = 0.05
+enable_atomic = true
+enable_single = false
+enable_master = yes
+enable_schedule = off
+enable_rangeidx = 0
+features = single, rangeidx
+p_atomic = 0.5
+p_single = 0.55
+p_master = 0.25
+p_schedule = 0.7
+p_rangeidx = 0.3
+
+[campaign]
+num_programs = 12
+inputs_per_program = 2
+seed = 4242
+alpha = 0.3
+beta = 2.5
+min_time_us = 250
+threads = 3
+
+[executor]
+work_dir = _every
+run_timeout_ms = 1500
+compile_timeout_ms = 7000
+concurrent_runs = true
+max_inflight = 6
+
+[scheduler]
+backends = 2
+batch_size = 4
+steal = false
+
+[store]
+enabled = true
+dir = _every_store
+max_bytes = 4096
+
+[retry]
+max_attempts = 4
+base_ms = 5
+cap_ms = 80
+backend_death_threshold = 3
+
+[faults]
+enabled = true
+rate = 0.125
+seed = 77
+sites = dispatch, store_write
+
+[telemetry]
+trace_file = every.trace.json
+metrics_file = every.metrics.json
+interval_ms = 250
+heartbeat = true
+
+[implementations]
+gcc = profile: libgomp
+real = g++ -fopenmp -O2 {src} -o {bin}
+)";
+
+/// What CampaignConfig::from_config throws for `ini`, or "accepted".
+std::string campaign_error(const std::string& ini) {
+  try {
+    (void)CampaignConfig::from_config(ConfigFile::parse(ini));
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(ConfigSchema, EveryKeyOfEverySectionParses) {
+  const ConfigFile file = ConfigFile::parse(kEveryKeyIni);
+  const CampaignConfig c = CampaignConfig::from_config(file);
+  const GeneratorConfig& g = c.generator;
+  EXPECT_EQ(g.max_expression_size, 6);
+  EXPECT_EQ(g.max_nesting_levels, 4);
+  EXPECT_EQ(g.max_lines_in_block, 9);
+  EXPECT_EQ(g.array_size, 512);
+  EXPECT_EQ(g.max_same_level_blocks, 2);
+  EXPECT_FALSE(g.math_func_allowed);
+  EXPECT_DOUBLE_EQ(g.math_func_probability, 0.02);
+  EXPECT_EQ(g.num_threads, 8);
+  EXPECT_EQ(g.max_loop_trip_count, 50);
+  EXPECT_DOUBLE_EQ(g.p_if_block, 0.2);
+  EXPECT_DOUBLE_EQ(g.p_for_block, 0.3);
+  EXPECT_DOUBLE_EQ(g.p_openmp_block, 0.4);
+  EXPECT_DOUBLE_EQ(g.p_reduction, 0.6);
+  EXPECT_DOUBLE_EQ(g.p_critical, 0.1);
+  EXPECT_DOUBLE_EQ(g.p_parallel_in_loop, 0.05);
+  // The features list switches gates on over the long-form keys.
+  EXPECT_TRUE(g.enable_atomic);
+  EXPECT_TRUE(g.enable_single);
+  EXPECT_TRUE(g.enable_master);
+  EXPECT_FALSE(g.enable_schedule);
+  EXPECT_TRUE(g.enable_rangeidx);
+  EXPECT_DOUBLE_EQ(g.p_atomic, 0.5);
+  EXPECT_DOUBLE_EQ(g.p_single, 0.55);
+  EXPECT_DOUBLE_EQ(g.p_master, 0.25);
+  EXPECT_DOUBLE_EQ(g.p_schedule, 0.7);
+  EXPECT_DOUBLE_EQ(g.p_rangeidx, 0.3);
+
+  EXPECT_EQ(c.num_programs, 12);
+  EXPECT_EQ(c.inputs_per_program, 2);
+  EXPECT_EQ(c.seed, 4242u);
+  EXPECT_DOUBLE_EQ(c.alpha, 0.3);
+  EXPECT_DOUBLE_EQ(c.beta, 2.5);
+  EXPECT_EQ(c.min_time_us, 250);
+  EXPECT_EQ(c.threads, 3);
+  ASSERT_EQ(c.implementations.size(), 2u);
+  EXPECT_EQ(c.implementations[0].name, "gcc");
+  EXPECT_EQ(c.implementations[0].profile, "libgomp");
+  EXPECT_EQ(c.implementations[1].compile_command, "g++ -fopenmp -O2 {src} -o {bin}");
+
+  const ExecutorConfig e = ExecutorConfig::from_config(file);
+  EXPECT_EQ(e.work_dir, "_every");
+  EXPECT_EQ(e.run_timeout_ms, 1500);
+  EXPECT_EQ(e.compile_timeout_ms, 7000);
+  EXPECT_TRUE(e.concurrent_runs);
+  EXPECT_EQ(e.max_inflight, 6);
+
+  const SchedulerConfig s = SchedulerConfig::from_config(file);
+  EXPECT_EQ(s.backends, 2);
+  EXPECT_EQ(s.batch_size, 4);
+  EXPECT_FALSE(s.steal);
+
+  const StoreConfig st = StoreConfig::from_config(file);
+  EXPECT_TRUE(st.enabled);
+  EXPECT_EQ(st.dir, "_every_store");
+  EXPECT_EQ(st.max_bytes, 4096);
+
+  EXPECT_EQ(c.retry.max_attempts, 4);
+  EXPECT_EQ(c.retry.base_ms, 5);
+  EXPECT_EQ(c.retry.cap_ms, 80);
+  EXPECT_EQ(c.retry.backend_death_threshold, 3);
+
+  const FaultConfig f = FaultConfig::from_config(file);
+  EXPECT_TRUE(f.enabled);
+  EXPECT_DOUBLE_EQ(f.rate, 0.125);
+  EXPECT_EQ(f.seed, 77u);
+  EXPECT_EQ(f.sites, "dispatch, store_write");
+
+  const TelemetryConfig t = TelemetryConfig::from_config(file);
+  EXPECT_EQ(t.trace_file, "every.trace.json");
+  EXPECT_EQ(t.metrics_file, "every.metrics.json");
+  EXPECT_EQ(t.interval_ms, 250);
+  EXPECT_TRUE(t.heartbeat);
+}
+
+TEST(ConfigSchema, UnknownKeysSectionsAndDuplicatesNameTheLine) {
+  const auto expect_names = [](const std::string& error,
+                               std::initializer_list<const char*> parts) {
+    for (const char* part : parts) {
+      EXPECT_NE(error.find(part), std::string::npos) << error << " lacks " << part;
+    }
+  };
+  expect_names(campaign_error("[campaign]\nnum_programs = 4\nthreds = 4\n"),
+               {"unknown key", "campaign.threds", "line 3"});
+  expect_names(campaign_error("[campaign]\nnum_programs = 4\n\n[bogus]\nx = 1\n"),
+               {"unknown section", "[bogus]", "line 4"});
+  expect_names(campaign_error("[campaign]\n[bogus]\n"), {"[bogus]", "line 2"});
+  expect_names(campaign_error("threads = 4\n[campaign]\n"), {"'threads'", "line 1"});
+  expect_names(campaign_error("[campaign]\nnum_programs = 40\nseed = 1\nnum_programs = 2\n"),
+               {"duplicate key", "campaign.num_programs", "line 4", "line 2"});
+  // The first offending line is the one named.
+  expect_names(campaign_error("[campaign]\nthreds = 4\n[bogus]\n"), {"threds", "line 2"});
+  // A section repeated without repeating a key is fine.
+  EXPECT_EQ(campaign_error("[campaign]\nseed = 1\n[generator]\n[campaign]\nthreads = 2\n"),
+            "accepted");
+  // [implementations] is free-form; keys set in code are not file typos.
+  EXPECT_EQ(campaign_error("[implementations]\nanything = profile: libomp\n"), "accepted");
+  ConfigFile file;
+  file.set("generator.features", "atomic");
+  EXPECT_TRUE(CampaignConfig::from_config(file).generator.enable_atomic);
+}
+
+TEST(ConfigSchema, SeedsAreBoundedNotWrapped) {
+  EXPECT_NE(campaign_error("[campaign]\nseed = -1\n").find("'campaign.seed'"),
+            std::string::npos);
+  EXPECT_THROW((void)FaultConfig::from_config(ConfigFile::parse("[faults]\nseed = -1\n")),
+               ConfigError);
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(CampaignConfig::from_config(
+                ConfigFile::parse("[campaign]\nseed = 9223372036854775807\n"))
+                .seed,
+            static_cast<std::uint64_t>(kMax));
+  CampaignConfig c;
+  c.seed = static_cast<std::uint64_t>(kMax) + 1;
+  EXPECT_THROW(c.validate(), ConfigError);
+  FaultConfig f;
+  f.seed = ~std::uint64_t{0};
+  EXPECT_THROW(f.validate(), ConfigError);
+}
+
+/// Reads every section of `ini`, as campaign_demo does.
+void read_every_section(const std::string& ini) {
+  const ConfigFile file = ConfigFile::parse(ini);
+  (void)CampaignConfig::from_config(file);
+  (void)ExecutorConfig::from_config(file);
+  (void)SchedulerConfig::from_config(file);
+  (void)StoreConfig::from_config(file);
+  (void)FaultConfig::from_config(file);
+  (void)TelemetryConfig::from_config(file);
+}
+
+/// One to three seeded edits: truncation, bit flips, duplicated or deleted
+/// lines.
+std::string mutate(std::string text, RandomEngine& rng) {
+  const int edits = static_cast<int>(rng.uniform_int(1, 3));
+  for (int k = 0; k < edits && !text.empty(); ++k) {
+    const std::size_t kind = rng.uniform_index(4);
+    if (kind == 0) {
+      text.resize(rng.uniform_index(text.size() + 1));
+    } else if (kind == 1) {
+      text[rng.uniform_index(text.size())] ^=
+          static_cast<char>(1U << rng.uniform_index(8));
+    } else {
+      std::vector<std::string> lines = split(text, '\n');
+      const std::size_t at = rng.uniform_index(lines.size());
+      if (kind == 2) {
+        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), lines[at]);
+      } else {
+        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      text = join(lines, "\n");
+    }
+  }
+  return text;
+}
+
+TEST(ConfigSchema, MutatedIniEndsParsedOrAsConfigError) {
+  for (const char* base : {kDemoIni, kEveryKeyIni}) {
+    RandomEngine rng(0xC0F16);
+    int parsed = 0;
+    int rejected = 0;
+    for (int i = 0; i < 4000; ++i) {
+      const std::string mutant = mutate(base, rng);
+      try {
+        read_every_section(mutant);
+        ++parsed;
+      } catch (const ConfigError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "non-config exception " << e.what() << " on:\n" << mutant;
+      }
+    }
+    // Both outcomes must occur, or the mutations test nothing.
+    EXPECT_GT(parsed, 100);
+    EXPECT_GT(rejected, 100);
+  }
 }
 
 // ---------------------------------------------------------------- strings --
