@@ -1,5 +1,6 @@
 #include "harness/sim_executor.hpp"
 
+#include "interp/step_bound.hpp"
 #include "runtime/cost_model.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -13,6 +14,7 @@ namespace {
 struct SimMetrics {
   telemetry::Counter& runs;
   telemetry::Counter& memo_hits;
+  telemetry::Counter& static_skips;
   telemetry::Counter& over_budget_runs;
   telemetry::Counter& steps;
   telemetry::Counter& compiles;
@@ -24,6 +26,7 @@ SimMetrics& sim_metrics() {
   auto& r = telemetry::Registry::global();
   static SimMetrics metrics{r.counter("sim.runs"),
                             r.counter("sim.memo_hits"),
+                            r.counter("sim.static_skips"),
                             r.counter("sim.over_budget_runs"),
                             r.counter("sim.steps"),
                             r.counter("sim.compiles"),
@@ -82,7 +85,7 @@ DetailedRun SimExecutor::run_detailed(const TestCase& test,
   const interp::Compiled lowered = lower(test.program, prof.fp.contract_fma);
   interp::InterpResult ir;
   return run_lowered(test, lowered, test.program.fingerprint(), input_index,
-                     prof, ir, /*memo_hit=*/false);
+                     prof, ir, Source::Interpret);
 }
 
 std::vector<core::RunResult> SimExecutor::run_batch(
@@ -94,6 +97,8 @@ std::vector<core::RunResult> SimExecutor::run_batch(
   // when no two impls share semantics, every impl leads itself and each run
   // interprets, exactly as looping run() does.
   const std::size_t n = impls.size();
+  std::vector<core::RunResult> results;
+  if (n == 0) return results;
   std::vector<const rt::OmpImplProfile*> profs(n);
   std::vector<std::size_t> leader(n);
   for (std::size_t j = 0; j < n; ++j) {
@@ -109,17 +114,28 @@ std::vector<core::RunResult> SimExecutor::run_batch(
   std::vector<interp::InterpResult> interps(n);  // this input's, by leader
   // Lowered forms live for this batch only, indexed by contract_fma.
   std::optional<interp::Compiled> lowered[2];
+  const auto lowered_for = [&](const rt::OmpImplProfile& p) -> const interp::Compiled& {
+    std::optional<interp::Compiled>& slot = lowered[p.fp.contract_fma ? 1 : 0];
+    if (!slot) slot.emplace(lower(test.program, p.fp.contract_fma));
+    return *slot;
+  };
   const std::uint64_t fingerprint = test.program.fingerprint();
-  std::vector<core::RunResult> results;
   results.reserve(input_indices.size() * n);
   for (const std::size_t input_index : input_indices) {
+    OMPFUZZ_CHECK(input_index < test.inputs.size(), "input index out of range");
+    // Every lowering has the same statements, so any one bounds the steps
+    // of every implementation's interpretation.
+    const interp::Compiled& first = lowered_for(*profs[0]);
+    const bool over_budget =
+        interp::min_steps(first, test.inputs[input_index], options_.num_threads) >
+        options_.max_interp_steps;
     for (std::size_t j = 0; j < n; ++j) {
-      const bool fma = profs[j]->fp.contract_fma;
-      std::optional<interp::Compiled>& slot = lowered[fma ? 1 : 0];
-      if (!slot) slot.emplace(lower(test.program, fma));
-      results.push_back(run_lowered(test, *slot, fingerprint, input_index,
-                                    *profs[j], interps[leader[j]],
-                                    /*memo_hit=*/leader[j] != j)
+      const Source source = over_budget     ? Source::StaticSkip
+                            : leader[j] != j ? Source::Memo
+                                             : Source::Interpret;
+      const interp::Compiled& form = over_budget ? first : lowered_for(*profs[j]);
+      results.push_back(run_lowered(test, form, fingerprint, input_index,
+                                    *profs[j], interps[leader[j]], source)
                             .result);
     }
   }
@@ -132,14 +148,22 @@ DetailedRun SimExecutor::run_lowered(const TestCase& test,
                                      std::size_t input_index,
                                      const rt::OmpImplProfile& prof,
                                      interp::InterpResult& ir,
-                                     bool memo_hit) const {
+                                     Source source) const {
   OMPFUZZ_CHECK(input_index < test.inputs.size(), "input index out of range");
   telemetry::ScopedSpan span("run", "sim_run");
   const fp::InputSet& input = test.inputs[input_index];
-  if (memo_hit) {
-    sim_metrics().memo_hits.add();
-  } else {
-    ir = interpret(lowered, input, prof.fp);
+  switch (source) {
+    case Source::Interpret:
+      ir = interpret(lowered, input, prof.fp);
+      break;
+    case Source::Memo:
+      sim_metrics().memo_hits.add();
+      break;
+    case Source::StaticSkip:
+      sim_metrics().static_skips.add();
+      ir = interp::InterpResult{};
+      ir.over_budget = true;
+      break;
   }
   DetailedRun out = price(test, ir, fingerprint, input, prof);
   if (span.active()) {
@@ -148,7 +172,8 @@ DetailedRun SimExecutor::run_lowered(const TestCase& test,
     span.arg("input", static_cast<std::uint64_t>(input_index));
     span.arg("status", core::to_string(out.result.status));
     span.arg("steps", ir.steps);
-    span.arg("memo_hit", memo_hit ? 1 : 0);
+    span.arg("memo_hit", source == Source::Memo ? 1 : 0);
+    span.arg("static_skip", source == Source::StaticSkip ? 1 : 0);
   }
   return out;
 }

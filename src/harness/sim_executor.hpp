@@ -14,14 +14,23 @@
 // cost and fault models and run hash (a "memo hit"). Results equal looping
 // run() field for field.
 //
+// Before interpreting an input, run_batch computes interp::min_steps, a
+// static lower bound on the steps any completed interpretation of it takes
+// (the bound ignores FpSemantics and contract_fma). When that bound exceeds
+// max_interp_steps, the interpretation would end over budget for every
+// implementation, so each of them gets the Skipped result without one (a
+// "static skip"). run() and run_detailed() always interpret.
+//
 // Every run and every interpretation is counted in the process-wide
 // telemetry registry. Per run: sim.runs, sim.over_budget_runs (runs that
-// end Skipped) and sim.memo_hits (runs priced from a shared
-// interpretation). Per interpretation actually performed: sim.steps and the
-// interpretation time in the sim.interp_nanos.ok / .over_budget histograms,
-// so the share of interpreter time spent on runs whose result is discarded
-// is visible in every metrics snapshot. Per lowered program: sim.compiles.
-// Hence ok + over_budget histogram counts + sim.memo_hits == sim.runs.
+// end Skipped), sim.memo_hits (runs priced from a shared interpretation)
+// and sim.static_skips (runs whose interpretation the step bound skipped).
+// Per interpretation actually performed: sim.steps and the interpretation
+// time in the sim.interp_nanos.ok / .over_budget histograms, so the share
+// of interpreter time spent on runs whose result is discarded is visible in
+// every metrics snapshot. Per lowered program: sim.compiles. Hence
+// ok + over_budget histogram counts + sim.memo_hits + sim.static_skips ==
+// sim.runs.
 #pragma once
 
 #include <optional>
@@ -66,7 +75,8 @@ class SimExecutor final : public Executor {
   /// Lowers the program once per batch (once per contract_fma setting among
   /// `impls`), interprets each input once per FpSemantics class among
   /// `impls`, and prices that interpretation for every implementation of
-  /// the class. Results equal looping run().
+  /// the class. Inputs whose static step bound exceeds the budget are not
+  /// interpreted at all. Results equal looping run().
   [[nodiscard]] std::vector<core::RunResult> run_batch(
       const TestCase& test, const std::vector<std::size_t>& input_indices,
       const std::vector<std::string>& impls) override;
@@ -104,16 +114,21 @@ class SimExecutor final : public Executor {
                                   std::uint64_t fingerprint,
                                   const fp::InputSet& input,
                                   const rt::OmpImplProfile& prof) const;
-  /// One run, traced as a sim_run span. Interprets into `ir` unless
-  /// `memo_hit`, in which case `ir` already holds this input's
-  /// interpretation under `prof`'s semantics; then prices `ir`.
+  /// Where a run's interpretation comes from.
+  enum class Source {
+    Interpret,   ///< interpret into `ir`
+    Memo,        ///< `ir` already holds this input's interpretation
+    StaticSkip,  ///< the step bound proved it over budget: none is made
+  };
+  /// One run, traced as a sim_run span. Fills `ir` as `source` says, then
+  /// prices it.
   [[nodiscard]] DetailedRun run_lowered(const TestCase& test,
                                         const interp::Compiled& lowered,
                                         std::uint64_t fingerprint,
                                         std::size_t input_index,
                                         const rt::OmpImplProfile& prof,
                                         interp::InterpResult& ir,
-                                        bool memo_hit) const;
+                                        Source source) const;
 
   std::vector<rt::OmpImplProfile> profiles_;
   SimExecutorOptions options_;

@@ -1,6 +1,9 @@
 // Tests for the formal grammar (Listing 2) and the conformance checker.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/generator.hpp"
 #include "core/grammar.hpp"
 
@@ -431,12 +434,16 @@ TEST(Conformance, FeatureEnabledGeneratedProgramsConform) {
 }
 
 // Property: every generated program conforms, across seeds and configs.
+// gtest names each case by a byte dump of its parameter, so the padding is
+// spelled out and zeroed: implicit padding put stack bytes into test names.
 struct GenConformanceParam {
   std::uint64_t seed_base;
   int max_expr;
   int max_nest;
   int max_lines;
+  std::int32_t pad = 0;
 };
+static_assert(std::has_unique_object_representations_v<GenConformanceParam>);
 
 class GeneratedConformance
     : public ::testing::TestWithParam<GenConformanceParam> {};

@@ -2,6 +2,7 @@
 // determinism and aggregation, report rendering, and the case-study analyzer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "harness/perf_analyzer.hpp"
 #include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
+#include "interp/step_bound.hpp"
 #include "runtime/cost_model.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -173,13 +175,19 @@ std::uint64_t memo_hits() {
   return telemetry::Registry::global().snapshot().counter("sim.memo_hits");
 }
 
+std::uint64_t static_skips() {
+  return telemetry::Registry::global().snapshot().counter("sim.static_skips");
+}
+
 // run_batch interprets each input once per FpSemantics class and prices the
 // result per profile. Over the default and the feature-gated program
 // streams, with a budget that cuts some shared interpretations short, every
 // batched result must equal looping run(), and run_detailed must equal the
 // layer functions composed by hand. Only profiles with equal semantics share:
 // a renamed clang and intel (clang's semantics) are memo hits; intel with FMA
-// contraction and gcc without reassociation are not.
+// contraction and gcc without reassociation are not. Inputs whose step bound
+// exceeds the budget are skipped for every profile, uninterpreted, and must
+// still equal run(), which interprets them.
 TEST(SimExecutor, RunBatchSharesInterpretationsAndEqualsRun) {
   rt::OmpImplProfile intel_fma = rt::intel_profile();
   intel_fma.name = "intel_fma";
@@ -198,6 +206,7 @@ TEST(SimExecutor, RunBatchSharesInterpretationsAndEqualsRun) {
 
   int shared_skipped = 0;
   int shared_ok = 0;
+  int statically_skipped = 0;
   for (const char* features : {"", "atomic,single,master,schedule,rangeidx"}) {
     CampaignConfig cfg = tiny_config(8);
     cfg.inputs_per_program = 3;
@@ -206,10 +215,23 @@ TEST(SimExecutor, RunBatchSharesInterpretationsAndEqualsRun) {
     for (int p = 0; p < cfg.num_programs; ++p) {
       const TestCase test = campaign.make_test_case(p);
       const std::vector<std::size_t> inputs = {2, 0, 1};
+      // Inputs whose static step bound exceeds the budget are not
+      // interpreted for any implementation.
+      const interp::Compiled lowered = interp::compile(test.program);
+      std::vector<bool> pre_skipped;
+      for (const std::size_t i : inputs) {
+        pre_skipped.push_back(interp::min_steps(lowered, test.inputs[i], opt.num_threads) >
+                              opt.max_interp_steps);
+      }
+      const auto skipped_inputs = static_cast<std::size_t>(
+          std::count(pre_skipped.begin(), pre_skipped.end(), true));
       const std::uint64_t hits_before = memo_hits();
+      const std::uint64_t skips_before = static_skips();
       const auto batch = exec.run_batch(test, inputs, impls);
-      // intel and clang_copy reuse clang's interpretation of each input.
-      EXPECT_EQ(memo_hits() - hits_before, 2 * inputs.size());
+      // intel and clang_copy reuse clang's interpretation of each input
+      // that is interpreted.
+      EXPECT_EQ(memo_hits() - hits_before, 2 * (inputs.size() - skipped_inputs));
+      EXPECT_EQ(static_skips() - skips_before, impls.size() * skipped_inputs);
       ASSERT_EQ(batch.size(), inputs.size() * impls.size());
       for (std::size_t i = 0; i < inputs.size(); ++i) {
         for (std::size_t j = 0; j < impls.size(); ++j) {
@@ -218,7 +240,10 @@ TEST(SimExecutor, RunBatchSharesInterpretationsAndEqualsRun) {
           expect_same_result(batched, exec.run(test, inputs[i], impls[j]));
           expect_same_detailed(detailed, reference_run(exec, test, inputs[i], impls[j]));
           expect_same_result(batched, detailed.result);
-          if (impls[j] == "intel" || impls[j] == "clang_copy") {
+          if (pre_skipped[i]) {
+            EXPECT_EQ(batched.status, core::RunStatus::Skipped);
+            ++statically_skipped;
+          } else if (impls[j] == "intel" || impls[j] == "clang_copy") {
             (batched.status == core::RunStatus::Skipped ? shared_skipped : shared_ok)++;
           }
         }
@@ -227,6 +252,7 @@ TEST(SimExecutor, RunBatchSharesInterpretationsAndEqualsRun) {
   }
   EXPECT_GT(shared_skipped, 0) << "no shared interpretation ran over budget";
   EXPECT_GT(shared_ok, 0) << "every shared interpretation ran over budget";
+  EXPECT_GT(statically_skipped, 0) << "the step bound skipped no run";
 
   // Batches without equal semantics interpret every run.
   Campaign campaign(tiny_config(), exec);

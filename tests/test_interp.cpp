@@ -1,12 +1,22 @@
 // Tests for the interpreter: arithmetic typing, control flow, OpenMP
 // semantics (privatization, firstprivate, reductions, omp-for scheduling),
-// FP semantic knobs, event counting, and the step budget.
+// FP semantic knobs, event counting, the step budget, and the static step
+// bound (min_steps) with its soundness sweep (CI: --gtest_filter=*MinStepsSweep*).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
 
+#include "core/generator.hpp"
 #include "interp/interp.hpp"
+#include "interp/step_bound.hpp"
+#include "runtime/impl_profile.hpp"
+#include "support/config.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace ompfuzz::interp {
 namespace {
@@ -789,6 +799,345 @@ TEST(Interp, ExecuteRefusesMismatchedFmaSetting) {
   InterpOptions fma;
   fma.fp.contract_fma = true;
   EXPECT_THROW((void)execute(lowered, set, fma), Error);
+}
+
+// ------------------------------------------------------------ step bound ---
+
+struct BoundAndSteps {
+  std::uint64_t bound = 0;
+  std::uint64_t steps = 0;
+};
+
+/// min_steps of `t` at `team` (0 keeps each region's num_threads), checked
+/// against the steps an execution at that team size takes.
+BoundAndSteps bound_and_steps(TestProgram& t, int team = 0) {
+  fp::InputSet set;
+  set.values = t.inputs;
+  const std::uint64_t bound = min_steps(compile(t.prog), set, team);
+  InterpOptions opt;
+  opt.num_threads_override = team;
+  const InterpResult r = t.run(opt);
+  EXPECT_TRUE(r.ok);
+  EXPECT_LE(bound, r.steps);
+  return {bound, r.steps};
+}
+
+/// "comp += 1.0", one step when executed.
+ast::StmtPtr bump(const TestProgram& t) {
+  return Stmt::assign(LValue{t.comp, nullptr}, AssignOp::AddAssign,
+                      Expr::fp_const(1.0));
+}
+
+TEST(MinSteps, ConditionalBodiesCountZeroAndCriticalCountsInFull) {
+  TestProgram t;
+  const VarId x = t.add_double("x", 5.0);
+  const VarId i = t.loop_index("i_1");
+  ast::BoolExpr taken;
+  taken.lhs = x;
+  taken.op = ast::BoolOp::Gt;
+  taken.rhs = Expr::fp_const(1.0);
+  Block loop;
+  loop.stmts.push_back(bump(t));
+  Block then_block;
+  then_block.stmts.push_back(
+      Stmt::for_loop(i, Expr::int_const(100), std::move(loop), false));
+  t.prog.body().stmts.push_back(Stmt::if_block(std::move(taken), std::move(then_block)));
+  // The branch is taken (201 steps inside), but only the If itself counts.
+  EXPECT_EQ(bound_and_steps(t).bound, 1u);
+
+  // In a region of 4: single and master run their bodies on one thread each
+  // (uncounted); critical runs its body on every thread (counted).
+  TestProgram r;
+  Block single_body;
+  single_body.stmts.push_back(bump(r));
+  Block master_body;
+  master_body.stmts.push_back(bump(r));
+  Block critical_body;
+  critical_body.stmts.push_back(bump(r));
+  critical_body.stmts.push_back(bump(r));
+  Block region;
+  region.stmts.push_back(Stmt::omp_single(std::move(single_body)));
+  region.stmts.push_back(Stmt::omp_master(std::move(master_body)));
+  region.stmts.push_back(Stmt::omp_critical(std::move(critical_body)));
+  OmpClauses clauses;
+  clauses.num_threads = 4;
+  r.prog.body().stmts.push_back(Stmt::omp_parallel(std::move(clauses), std::move(region)));
+  EXPECT_EQ(bound_and_steps(r).bound, 1u + 4u * (1 + 1 + 3));
+}
+
+TEST(MinSteps, WorksharingIterationsTotalNAtEveryTeamSizeAndChunk) {
+  struct Schedule {
+    ast::ScheduleKind kind;
+    int chunk;
+  };
+  const Schedule schedules[] = {
+      {ast::ScheduleKind::None, 0},    {ast::ScheduleKind::Static, 0},
+      {ast::ScheduleKind::Static, 1},  {ast::ScheduleKind::Static, 3},
+      {ast::ScheduleKind::Static, 64}, {ast::ScheduleKind::Dynamic, 0},
+      {ast::ScheduleKind::Dynamic, 4}};
+  for (const int team : {1, 2, 3, 7, 32}) {
+    for (const Schedule& sched : schedules) {
+      for (const std::int64_t n : {0, 1, 10, 37}) {
+        TestProgram t;
+        const VarId i = t.loop_index("i_1");
+        Block loop;
+        loop.stmts.push_back(bump(t));
+        Block region;
+        region.stmts.push_back(Stmt::for_loop(i, Expr::int_const(n), std::move(loop),
+                                              /*omp_for=*/true, sched.kind, sched.chunk));
+        OmpClauses clauses;
+        clauses.num_threads = 2;
+        clauses.reduction = ReductionOp::Sum;
+        t.prog.body().stmts.push_back(
+            Stmt::omp_parallel(std::move(clauses), std::move(region)));
+        // Exact here: the region, each thread's loop statement, and n
+        // iterations of two steps spread over the team.
+        const auto expected = static_cast<std::uint64_t>(1 + team + 2 * n);
+        const BoundAndSteps b = bound_and_steps(t, team);
+        EXPECT_EQ(b.bound, expected) << "team " << team << " chunk " << sched.chunk
+                                     << " n " << n;
+        EXPECT_EQ(b.steps, expected);
+      }
+    }
+  }
+}
+
+TEST(MinSteps, ZeroOverrideUsesTheRegionsNumThreads) {
+  TestProgram t;
+  const VarId i = t.loop_index("i_1");
+  Block loop;
+  loop.stmts.push_back(bump(t));
+  Block region;
+  region.stmts.push_back(Stmt::for_loop(i, Expr::int_const(4), std::move(loop), false));
+  OmpClauses clauses;
+  clauses.num_threads = 5;
+  t.prog.body().stmts.push_back(Stmt::omp_parallel(std::move(clauses), std::move(region)));
+  // Every thread runs the serial loop: 1 + 4 * 2 steps each.
+  EXPECT_EQ(bound_and_steps(t, 0).bound, 1u + 5u * 9u);
+  EXPECT_EQ(bound_and_steps(t, 2).bound, 1u + 2u * 9u);
+}
+
+TEST(MinSteps, TrustsOnlyIntBoundsNoStatementOrThreadRebinds) {
+  // A param that nothing rebinds: its input value is the trip count.
+  {
+    TestProgram t;
+    const VarId n = t.add_int("n", 50);
+    const VarId i = t.loop_index("i_1");
+    Block loop;
+    loop.stmts.push_back(bump(t));
+    t.prog.body().stmts.push_back(Stmt::for_loop(i, Expr::var(n), std::move(loop), false));
+    EXPECT_EQ(bound_and_steps(t).bound, 1u + 50u * 2u);
+  }
+  // Reassigned anywhere, even after the loop: not trusted.
+  {
+    TestProgram t;
+    const VarId n = t.add_int("n", 50);
+    const VarId i = t.loop_index("i_1");
+    Block loop;
+    loop.stmts.push_back(bump(t));
+    t.prog.body().stmts.push_back(Stmt::for_loop(i, Expr::var(n), std::move(loop), false));
+    t.prog.body().stmts.push_back(
+        Stmt::assign(LValue{n, nullptr}, AssignOp::Assign, Expr::int_const(3)));
+    EXPECT_EQ(bound_and_steps(t).bound, 2u);
+  }
+  // Privatized: each thread's private copy starts at 0, not at the input;
+  // a firstprivate copy is not trusted either.
+  for (const bool first : {false, true}) {
+    TestProgram t;
+    const VarId n = t.add_int("n", 50);
+    const VarId i = t.loop_index("i_1");
+    Block loop;
+    loop.stmts.push_back(bump(t));
+    Block region;
+    region.stmts.push_back(Stmt::for_loop(i, Expr::var(n), std::move(loop), false));
+    OmpClauses clauses;
+    clauses.num_threads = 3;
+    (first ? clauses.firstprivates : clauses.privates) = {n};
+    t.prog.body().stmts.push_back(
+        Stmt::omp_parallel(std::move(clauses), std::move(region)));
+    EXPECT_EQ(bound_and_steps(t).bound, 1u + 3u) << (first ? "firstprivate" : "private");
+  }
+  // A negative bound runs no iteration.
+  {
+    TestProgram t;
+    const VarId n = t.add_int("n", -7);
+    const VarId i = t.loop_index("i_1");
+    Block loop;
+    loop.stmts.push_back(bump(t));
+    t.prog.body().stmts.push_back(Stmt::for_loop(i, Expr::var(n), std::move(loop), false));
+    EXPECT_EQ(bound_and_steps(t).bound, 1u);
+  }
+}
+
+TEST(MinSteps, SaturatesInsteadOfWrapping) {
+  // 2^40 * (1 + 2^40 * 2) and a team of 2^20 overflow 64 bits; wrapped, the
+  // products would come out small.
+  TestProgram t;
+  const VarId i = t.loop_index("i_1");
+  const VarId j = t.loop_index("i_2");
+  const std::int64_t big = std::int64_t{1} << 40;
+  Block inner;
+  inner.stmts.push_back(bump(t));
+  Block outer;
+  outer.stmts.push_back(Stmt::for_loop(j, Expr::int_const(big), std::move(inner), false));
+  Block region;
+  region.stmts.push_back(Stmt::for_loop(i, Expr::int_const(big), std::move(outer), false));
+  OmpClauses clauses;
+  clauses.num_threads = 2;
+  t.prog.body().stmts.push_back(Stmt::omp_parallel(std::move(clauses), std::move(region)));
+  t.prog.body().stmts.push_back(bump(t));
+  t.prog.validate();
+  fp::InputSet set;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const Compiled lowered = compile(t.prog);
+  EXPECT_EQ(min_steps(lowered, set, 2), kMax);
+  EXPECT_EQ(min_steps(lowered, set, 1 << 20), kMax);
+  // Still a lower bound: the run stops at the budget.
+  InterpOptions opt;
+  opt.max_steps = 1000;
+  EXPECT_TRUE(t.run(opt).over_budget);
+}
+
+TEST(MinSteps, MismatchedInputBoundsNothing) {
+  TestProgram t;
+  (void)t.add_int("n", 5);
+  t.prog.body().stmts.push_back(bump(t));
+  EXPECT_EQ(min_steps(compile(t.prog), fp::InputSet{}, 0), 0u);
+}
+
+// The step-bound soundness sweep (CI: --gtest_filter=*MinStepsSweep*).
+// Seeded streams run under the gcc, clang and contract_fma semantics; for
+// every (program, input, semantics) a completed run must take at least
+// min_steps, and a run min_steps puts over the budget must end over budget
+// when interpreted: never ok, never an InterpError. Prints the catch rate,
+// the share of over-budget runs (and of their interpretation time) the
+// bound would have skipped.
+struct SweepStats {
+  int runs = 0;
+  int completed = 0;
+  int over_budget = 0;
+  int errors = 0;
+  int caught = 0;  ///< over budget with min_steps > budget
+  int violations = 0;
+  std::uint64_t over_nanos = 0;
+  std::uint64_t caught_nanos = 0;
+};
+
+struct SweepStream {
+  const char* label;
+  GeneratorConfig generator;
+  fp::InputGenOptions inputs;
+  int team;
+  std::uint64_t max_steps;
+  int programs;
+  std::uint64_t salt;
+};
+
+void sweep_stream(const SweepStream& stream, SweepStats& stats) {
+  interp::FpSemantics fma = rt::clang_profile().fp;
+  fma.contract_fma = true;
+  const interp::FpSemantics semantics[] = {rt::gcc_profile().fp,
+                                           rt::clang_profile().fp, fma};
+  constexpr int kInputsPerProgram = 3;
+  const core::ProgramGenerator generator(stream.generator);
+  const fp::InputGenerator input_gen(stream.inputs);
+  for (int n = 0; n < stream.programs; ++n) {
+    const ast::Program prog = generator.generate(
+        std::string(stream.label) + "_" + std::to_string(n), hash_combine(stream.salt, n));
+    const Compiled plain = compile(prog, false);
+    const Compiled fused = compile(prog, true);
+    RandomEngine rng(hash_combine(stream.salt ^ 0x5eed, n));
+    for (int k = 0; k < kInputsPerProgram; ++k) {
+      const fp::InputSet input = input_gen.generate(prog.signature(), rng);
+      const std::uint64_t bound = min_steps(plain, input, stream.team);
+      EXPECT_EQ(bound, min_steps(fused, input, stream.team)) << prog.name();
+      const bool skip = bound > stream.max_steps;
+      for (const interp::FpSemantics& fp : semantics) {
+        InterpOptions opt;
+        opt.fp = fp;
+        opt.num_threads_override = stream.team;
+        opt.max_steps = stream.max_steps;
+        ++stats.runs;
+        const auto t0 = std::chrono::steady_clock::now();
+        InterpResult r;
+        try {
+          r = execute(fp.contract_fma ? fused : plain, input, opt);
+        } catch (const Error& e) {
+          ++stats.errors;
+          if (skip) {
+            ++stats.violations;
+            ADD_FAILURE() << prog.name() << " input " << k << ": bound " << bound
+                          << " skips a run that raises " << e.what();
+          }
+          continue;
+        }
+        const auto nanos = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+        if (r.ok) {
+          ++stats.completed;
+          if (bound > r.steps) {
+            ++stats.violations;
+            ADD_FAILURE() << prog.name() << " input " << k << ": bound " << bound
+                          << " > " << r.steps << " steps taken";
+          }
+        } else {
+          ++stats.over_budget;
+          stats.over_nanos += nanos;
+          if (skip) {
+            ++stats.caught;
+            stats.caught_nanos += nanos;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Interp, MinStepsSweep) {
+  // The sim-paper shape: the paper's generator at team 32 and the default
+  // 4M budget, with input trip counts up to 1000.
+  GeneratorConfig paper;
+  paper.max_loop_trip_count = 100;
+  fp::InputGenOptions paper_inputs;
+  paper_inputs.min_trip_count = 25;
+  paper_inputs.max_trip_count = 1000;
+
+  GeneratorConfig base;
+  base.max_loop_trip_count = 100;
+  fp::InputGenOptions base_inputs;
+  base_inputs.max_trip_count = 100;
+  GeneratorConfig features = base;
+  features.enable_features("atomic,single,master,schedule,rangeidx");
+
+  const SweepStream streams[] = {
+      {"paper", paper, paper_inputs, 32, 4'000'000, 40, 0x5735},
+      {"base", base, base_inputs, 8, 150'000, 60, 0xba5e},
+      {"feat", features, base_inputs, 8, 150'000, 60, 0xfea7},
+  };
+  SweepStats total;
+  for (const SweepStream& stream : streams) {
+    SweepStats stats;
+    sweep_stream(stream, stats);
+    std::printf(
+        "[ MinSteps ] %-5s %4d runs: %4d completed, %4d over budget, %d errors; "
+        "bound caught %d of %d over-budget runs (%.0f%% of their time)\n",
+        stream.label, stats.runs, stats.completed, stats.over_budget, stats.errors,
+        stats.caught, stats.over_budget,
+        stats.over_nanos > 0 ? 100.0 * static_cast<double>(stats.caught_nanos) /
+                                   static_cast<double>(stats.over_nanos)
+                             : 0.0);
+    total.runs += stats.runs;
+    total.completed += stats.completed;
+    total.over_budget += stats.over_budget;
+    total.caught += stats.caught;
+    total.violations += stats.violations;
+  }
+  EXPECT_EQ(total.violations, 0);
+  // Neither check is vacuous: most runs complete, and the bound skips some.
+  EXPECT_GT(total.completed, total.runs / 2);
+  EXPECT_GT(total.caught, 0);
 }
 
 // ------------------------------------------------------------ scheduling ---

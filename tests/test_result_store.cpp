@@ -35,15 +35,30 @@
 namespace ompfuzz::harness {
 namespace {
 
-std::string temp_dir() {
-  static int counter = 0;
-  std::string dir = ::testing::TempDir() + "/ompfuzz_store_" +
-                    std::to_string(getpid()) + "_" + std::to_string(counter++);
-  // A recycled pid can name a directory an earlier run left behind.
-  std::filesystem::remove_all(dir);
-  mkdir(dir.c_str(), 0755);
-  return dir;
-}
+/// A fresh directory under the gtest TempDir, removed with everything in it
+/// when it goes out of scope, so every test cleans up after itself.
+class TempDir {
+ public:
+  TempDir() {
+    static std::atomic<int> counter{0};
+    path_ = ::testing::TempDir() + "/ompfuzz_store_" + std::to_string(getpid()) +
+            "_" + std::to_string(counter++);
+    // A recycled pid can name a directory an earlier run left behind.
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directory(path_);
+  }
+  ~TempDir() {
+    std::error_code ec;  // best effort: a destructor must not throw
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
 
 void write_script(const std::string& path, const std::string& content) {
   {
@@ -174,7 +189,8 @@ TEST(RunKeyTest, EveryFieldIsKeyMaterial) {
 }
 
 TEST(RunKeyTest, SubprocessIdentityCoversCommandAndTimeouts) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string dir = tmp.path();
   const auto identity_for = [&](const std::string& flags,
                                 std::int64_t run_timeout) {
     std::vector<ImplementationSpec> impls = {
@@ -196,7 +212,8 @@ TEST(RunKeyTest, SubprocessIdentityCoversCommandAndTimeouts) {
 // -------------------------------------------------------- ResultStore ------
 
 TEST(ResultStoreTest, RoundTripsResultsBitExactly) {
-  ResultStore store(store_config(temp_dir() + "/store"));
+  const TempDir tmp;
+  ResultStore store(store_config(tmp.path() + "/store"));
 
   core::RunResult nan_result;
   nan_result.impl = "gcc";
@@ -235,7 +252,8 @@ TEST(ResultStoreTest, RoundTripsResultsBitExactly) {
 // TSan build, where that old shape was a reportable data race — the real
 // assertion here is TSan staying silent.
 TEST(ResultStoreTest, StatsAreRaceFreeUnderConcurrentTraffic) {
-  ResultStore store(store_config(temp_dir() + "/store"));
+  const TempDir tmp;
+  ResultStore store(store_config(tmp.path() + "/store"));
 
   constexpr int kWriters = 4;
   constexpr int kOpsPerWriter = 100;
@@ -282,7 +300,8 @@ TEST(ResultStoreTest, StatsAreRaceFreeUnderConcurrentTraffic) {
 }
 
 TEST(ResultStoreTest, SurvivesReopenAcrossProcessesWorthOfState) {
-  const std::string dir = temp_dir() + "/store";
+  const TempDir tmp;
+  const std::string dir = tmp.path() + "/store";
   const RunKey key{7, "100", "subprocess;cmd=cc -O1"};
   core::RunResult result;
   result.impl = "cc";
@@ -298,7 +317,8 @@ TEST(ResultStoreTest, SurvivesReopenAcrossProcessesWorthOfState) {
 }
 
 TEST(ResultStoreTest, DigestCollisionIsAMissNotAStaleHit) {
-  const std::string dir = temp_dir() + "/store";
+  const TempDir tmp;
+  const std::string dir = tmp.path() + "/store";
   const RunKey a{1, "i", "x"};
   const RunKey b{2, "j", "y"};
   core::RunResult result;
@@ -328,7 +348,8 @@ TEST(ResultStoreTest, DigestCollisionIsAMissNotAStaleHit) {
 }
 
 TEST(ResultStoreTest, CorruptRecordIsAMiss) {
-  const std::string dir = temp_dir() + "/store";
+  const TempDir tmp;
+  const std::string dir = tmp.path() + "/store";
   const RunKey key{5, "in", "impl"};
   {
     ResultStore store(store_config(dir));
@@ -353,7 +374,8 @@ TEST(ResultStoreTest, CorruptRecordIsAMiss) {
 // ------------------------------------------- warm-cache campaign runs ------
 
 TEST(WarmCache, SecondRunExecutesZeroChildrenAndIsBitIdentical) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string dir = tmp.path();
   const std::string cc = make_logging_compiler(dir, "cc");
   std::vector<ImplementationSpec> impls = {
       {"alpha", cc + " {src} {bin}", ""},
@@ -386,7 +408,8 @@ TEST(WarmCache, SecondRunExecutesZeroChildrenAndIsBitIdentical) {
 }
 
 TEST(WarmCache, ChangingOnlyTheCompileFlagsMissesTheCache) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string dir = tmp.path();
   const std::string cc = make_logging_compiler(dir, "cc");
   SubprocessOptions opt;
   opt.work_dir = dir + "/work";
@@ -421,7 +444,8 @@ TEST(WarmCache, ChangingOnlyTheCompileFlagsMissesTheCache) {
 }
 
 TEST(WarmCache, PartialHitsOnlyExecuteTheMissingTriples) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string dir = tmp.path();
   const std::string cc = make_logging_compiler(dir, "cc");
   SubprocessOptions opt;
   opt.work_dir = dir + "/work";
@@ -460,7 +484,8 @@ TEST(WarmCache, HarnessFailuresAreNeverPersisted) {
   // A compile the harness cannot even spawn (missing compiler binary)
   // fabricates Crash results — those must not poison the store or the
   // journal: the next run has to try again, not replay the hiccup.
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string dir = tmp.path();
   std::vector<ImplementationSpec> impls = {
       {"ghost", dir + "/no_such_compiler.sh {src} {bin}", ""}};
   SubprocessOptions opt;
@@ -508,7 +533,8 @@ TEST(WarmCache, HarnessFailuresAreNeverPersisted) {
 }
 
 TEST(WarmCache, SimBackendCampaignsShareTheStore) {
-  const std::string dir = temp_dir() + "/store";
+  const TempDir tmp;
+  const std::string dir = tmp.path() + "/store";
   SimExecutorOptions opt;
   opt.num_threads = 4;
 
@@ -555,7 +581,8 @@ StoredShard make_shard(int p, int n_outcomes, int n_impls) {
 }
 
 TEST(Journal, AppendsAndResumes) {
-  const std::string path = temp_dir() + "/j.journal";
+  const TempDir tmp;
+  const std::string path = tmp.path() + "/j.journal";
   const std::vector<std::string> impls = {"impl0", "impl1"};
   {
     CheckpointJournal journal(path);
@@ -575,7 +602,8 @@ TEST(Journal, AppendsAndResumes) {
 }
 
 TEST(Journal, MismatchedCampaignKeyStartsFresh) {
-  const std::string path = temp_dir() + "/j.journal";
+  const TempDir tmp;
+  const std::string path = tmp.path() + "/j.journal";
   const std::vector<std::string> impls = {"impl0"};
   {
     CheckpointJournal journal(path);
@@ -597,7 +625,8 @@ TEST(Journal, MismatchedCampaignKeyStartsFresh) {
 }
 
 TEST(Journal, ResumeFalseDiscardsPreviousRecords) {
-  const std::string path = temp_dir() + "/j.journal";
+  const TempDir tmp;
+  const std::string path = tmp.path() + "/j.journal";
   const std::vector<std::string> impls = {"impl0"};
   {
     CheckpointJournal journal(path);
@@ -611,7 +640,8 @@ TEST(Journal, ResumeFalseDiscardsPreviousRecords) {
 }
 
 TEST(Journal, TruncatedFinalRecordIsDropped) {
-  const std::string path = temp_dir() + "/j.journal";
+  const TempDir tmp;
+  const std::string path = tmp.path() + "/j.journal";
   const std::vector<std::string> impls = {"impl0", "impl1"};
   {
     CheckpointJournal journal(path);
@@ -637,7 +667,8 @@ TEST(Journal, TruncatedFinalRecordIsDropped) {
 }
 
 TEST(Journal, GarbageFileStartsFresh) {
-  const std::string path = temp_dir() + "/j.journal";
+  const TempDir tmp;
+  const std::string path = tmp.path() + "/j.journal";
   std::ofstream(path) << "this is not a journal\n";
   CheckpointJournal journal(path);
   EXPECT_TRUE(journal.open(1, {"impl0"}, true).empty());
@@ -649,7 +680,8 @@ TEST(Journal, GarbageFileStartsFresh) {
 // ------------------------------------------------- campaign + journal ------
 
 TEST(CampaignCheckpoint, JournalResumeSkipsCompletedPrograms) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string dir = tmp.path();
   const std::string cc = make_logging_compiler(dir, "cc");
   std::vector<ImplementationSpec> impls = {{"cc", cc + " {src} {bin}", ""}};
   SubprocessOptions opt;
@@ -678,7 +710,8 @@ TEST(CampaignCheckpoint, JournalResumeSkipsCompletedPrograms) {
 }
 
 TEST(CampaignCheckpoint, TruncatedJournalReexecutesOnlyTheTornShard) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string dir = tmp.path();
   const std::string cc = make_logging_compiler(dir, "cc");
   std::vector<ImplementationSpec> impls = {{"cc", cc + " {src} {bin}", ""}};
   SubprocessOptions opt;
@@ -744,7 +777,8 @@ void set_atime(const std::string& path, std::time_t when) {
 }
 
 TEST(StoreGc, EvictsLeastRecentlyUsedUntilUnderBudget) {
-  StoreConfig cfg = store_config(temp_dir());
+  const TempDir tmp;
+  StoreConfig cfg = store_config(tmp.path());
   std::uint64_t record_bytes = 0;
   {
     ResultStore writer(cfg);
@@ -782,7 +816,8 @@ TEST(StoreGc, EvictsLeastRecentlyUsedUntilUnderBudget) {
 }
 
 TEST(StoreGc, EvictionForgetsTheInProcessMemo) {
-  StoreConfig cfg = store_config(temp_dir());
+  const TempDir tmp;
+  StoreConfig cfg = store_config(tmp.path());
   cfg.max_bytes = 1;  // everything must go
   ResultStore store(cfg);
   core::RunResult r;
@@ -796,7 +831,8 @@ TEST(StoreGc, EvictionForgetsTheInProcessMemo) {
 }
 
 TEST(StoreGc, PinnedRecordsSurviveEviction) {
-  StoreConfig cfg = store_config(temp_dir());
+  const TempDir tmp;
+  StoreConfig cfg = store_config(tmp.path());
   {
     ResultStore writer(cfg);
     for (int i = 0; i < 4; ++i) {
@@ -824,7 +860,8 @@ TEST(StoreGc, PinnedRecordsSurviveEviction) {
 }
 
 TEST(StoreGc, UnboundedStoreNeverEvicts) {
-  StoreConfig cfg = store_config(temp_dir());
+  const TempDir tmp;
+  StoreConfig cfg = store_config(tmp.path());
   ResultStore store(cfg);  // max_bytes = 0
   core::RunResult r;
   r.impl = "cc";
@@ -836,7 +873,8 @@ TEST(StoreGc, UnboundedStoreNeverEvicts) {
 }
 
 TEST(StoreGc, LookupRefreshesAtimeSoWarmRecordsSurvive) {
-  StoreConfig cfg = store_config(temp_dir());
+  const TempDir tmp;
+  StoreConfig cfg = store_config(tmp.path());
   std::uint64_t record_bytes = 0;
   {
     ResultStore writer(cfg);
@@ -865,7 +903,8 @@ TEST(StoreGc, LookupRefreshesAtimeSoWarmRecordsSurvive) {
 }
 
 TEST(StoreGc, MemoWarmRecordsAreTreatedAsFresh) {
-  StoreConfig cfg = store_config(temp_dir());
+  const TempDir tmp;
+  StoreConfig cfg = store_config(tmp.path());
   std::uint64_t record_bytes = 0;
   {
     ResultStore writer(cfg);
@@ -910,7 +949,8 @@ TEST(StoreGc, ConfigParsesAndValidatesMaxBytes) {
 /// nothing and a resumed re-run still executes zero children. The same
 /// campaign without a journal evicts freely.
 TEST(StoreGc, CampaignPinsJournaledShards) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string dir = tmp.path();
   const std::string cc = make_logging_compiler(dir, "cc");
   std::vector<ImplementationSpec> impls = {{"cc", cc + " {src} {bin}", ""}};
   CampaignConfig cfg = stub_campaign_config(3, 1);
@@ -1009,7 +1049,8 @@ int count_journal_records(const std::string& path) {
 }
 
 TEST(KillResume, SurvivesSigkillBitIdentically) {
-  const std::string dir = temp_dir();
+  const TempDir tmp;
+  const std::string dir = tmp.path();
   // Slow stub (sleeps while "running") so the parent reliably catches the
   // child mid-campaign.
   (void)make_logging_compiler(dir, "cc", "0.15");

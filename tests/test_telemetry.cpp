@@ -225,14 +225,16 @@ TEST(TelemetryRegistry, CampaignRunMetricsDeterministicAcrossThreadCounts) {
 // step budget makes some runs end over budget, so the over-budget split of
 // the interpreter time is exercised too. intel shares clang's semantics, so
 // every intel run is a memo hit: it prices clang's interpretation, and the
-// interpretation histograms count clang's alone.
+// interpretation histograms count clang's alone. Inputs the static step
+// bound proves over budget are the exception: all three of their runs are
+// static skips, neither interpreted nor memo hits.
 TEST(TelemetryRegistry, SimRunMetricsCountEveryRunAtAnyThreadCount) {
   struct Observed {
     MetricsSnapshot metrics;
     std::string report;
     int runs = 0;
     int skipped = 0;
-    int skipped_memo_hits = 0;
+    int skipped_intel = 0;
   };
   const auto run_with_threads = [](int threads) {
     CampaignConfig cfg;
@@ -251,7 +253,7 @@ TEST(TelemetryRegistry, SimRunMetricsCountEveryRunAtAnyThreadCount) {
       for (const auto& run : outcome.runs) {
         const bool skipped = run.status == core::RunStatus::Skipped;
         out.skipped += skipped ? 1 : 0;
-        out.skipped_memo_hits += skipped && run.impl == "intel" ? 1 : 0;
+        out.skipped_intel += skipped && run.impl == "intel" ? 1 : 0;
       }
     }
     return out;
@@ -272,12 +274,20 @@ TEST(TelemetryRegistry, SimRunMetricsCountEveryRunAtAnyThreadCount) {
     const auto* over = m.find("sim.interp_nanos.over_budget");
     ASSERT_NE(ok, nullptr);
     ASSERT_NE(over, nullptr);
-    EXPECT_EQ(m.counter("sim.memo_hits"), static_cast<std::uint64_t>(o->runs / 3));
-    EXPECT_EQ(ok->counter + over->counter + m.counter("sim.memo_hits"),
+    // A statically skipped input skips all three runs; every other input
+    // is interpreted twice and priced once more from clang's interpretation.
+    const std::uint64_t static_skips = m.counter("sim.static_skips");
+    EXPECT_EQ(static_skips % 3, 0u);
+    EXPECT_EQ(3 * m.counter("sim.memo_hits") + static_skips,
+              static_cast<std::uint64_t>(o->runs));
+    EXPECT_EQ(ok->counter + over->counter + m.counter("sim.memo_hits") + static_skips,
               m.counter("sim.runs"));
-    EXPECT_EQ(over->counter + static_cast<std::uint64_t>(o->skipped_memo_hits),
+    // Skipped intel runs are memo hits, except the statically skipped ones.
+    const auto shared_over = static_cast<std::uint64_t>(o->skipped_intel) - static_skips / 3;
+    EXPECT_EQ(over->counter + shared_over + static_skips,
               m.counter("sim.over_budget_runs"));
-    EXPECT_GT(o->skipped_memo_hits, 0) << "a shared interpretation must run over budget";
+    EXPECT_GT(shared_over, 0u) << "a shared interpretation must run over budget";
+    EXPECT_GT(static_skips, 0u) << "the step bound must skip some runs";
     EXPECT_GT(over->sum, 0u);
     EXPECT_EQ(o->report.find("sim."), std::string::npos);  // snapshot only
   }
