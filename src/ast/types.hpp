@@ -6,8 +6,10 @@
 // reduction clauses), work-shared for loops, and critical sections.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "fp/fp_class.hpp"
 
@@ -71,5 +73,41 @@ struct VarDecl {
 [[nodiscard]] const char* to_string(AssignOp op) noexcept;
 [[nodiscard]] const char* to_string(ReductionOp op) noexcept;   // "+" or "*"
 [[nodiscard]] const char* to_string(MathFunc f) noexcept;       // C name, e.g. "sin"
+
+// The operators' meaning, shared by the interpreter and the reducer's
+// constant folds. Inline: the interpreter evaluates them on every step.
+
+/// The <math.h> function `f` at `x`, in double (C semantics).
+[[nodiscard]] inline double apply(MathFunc f, double x) noexcept {
+  switch (f) {
+    case MathFunc::Sin: return std::sin(x);
+    case MathFunc::Cos: return std::cos(x);
+    case MathFunc::Tan: return std::tan(x);
+    case MathFunc::Exp: return std::exp(x);
+    case MathFunc::Log: return std::log(x);
+    case MathFunc::Sqrt: return std::sqrt(x);
+    case MathFunc::Fabs: return std::fabs(x);
+    case MathFunc::Floor: return std::floor(x);
+    case MathFunc::Ceil: return std::ceil(x);
+    case MathFunc::Atan: return std::atan(x);
+  }
+  return x;
+}
+
+/// `a op b` in T. Integer Div and Mod need b != 0. Mod is a subscript-only
+/// operator: for floating-point T it never occurs and returns `a`.
+template <typename T>
+[[nodiscard]] inline T apply(BinOp op, T a, T b) noexcept {
+  switch (op) {
+    case BinOp::Add: return a + b;
+    case BinOp::Sub: return a - b;
+    case BinOp::Mul: return a * b;
+    case BinOp::Div: return a / b;
+    case BinOp::Mod:
+      if constexpr (std::is_integral_v<T>) return a % b;
+      return a;
+  }
+  return a;
+}
 
 }  // namespace ompfuzz::ast

@@ -24,34 +24,6 @@ using ir::StmtOp;
 /// Internal signal for budget exhaustion; converted to a result flag.
 struct BudgetExceeded {};
 
-double apply_math(MathFunc f, double x) noexcept {
-  switch (f) {
-    case MathFunc::Sin: return std::sin(x);
-    case MathFunc::Cos: return std::cos(x);
-    case MathFunc::Tan: return std::tan(x);
-    case MathFunc::Exp: return std::exp(x);
-    case MathFunc::Log: return std::log(x);
-    case MathFunc::Sqrt: return std::sqrt(x);
-    case MathFunc::Fabs: return std::fabs(x);
-    case MathFunc::Floor: return std::floor(x);
-    case MathFunc::Ceil: return std::ceil(x);
-    case MathFunc::Atan: return std::atan(x);
-  }
-  return x;
-}
-
-template <typename T>
-T apply_bin(BinOp op, T a, T b) noexcept {
-  switch (op) {
-    case BinOp::Add: return a + b;
-    case BinOp::Sub: return a - b;
-    case BinOp::Mul: return a * b;
-    case BinOp::Div: return a / b;
-    case BinOp::Mod: return a;  // never reached for fp (lowered to Op::Mod)
-  }
-  return a;
-}
-
 template <typename T>
 T combine(AssignOp op, T old_value, T rhs) noexcept {
   switch (op) {
@@ -263,14 +235,14 @@ class Engine {
 
   float bin_f32(std::uint8_t op, float a, float b) {
     count_op(op);
-    const float r = flush32(apply_bin<float>(static_cast<BinOp>(op), a, b));
+    const float r = flush32(ast::apply<float>(static_cast<BinOp>(op), a, b));
     if (is_subnormal(a) || is_subnormal(b) || is_subnormal(r)) ++ev_.subnormal_fp_ops;
     return r;
   }
 
   double bin_f64(std::uint8_t op, double a, double b) {
     count_op(op);
-    const double r = flush64(apply_bin<double>(static_cast<BinOp>(op), a, b));
+    const double r = flush64(ast::apply<double>(static_cast<BinOp>(op), a, b));
     if (is_subnormal(a) || is_subnormal(b) || is_subnormal(r)) ++ev_.subnormal_fp_ops;
     return r;
   }
@@ -343,7 +315,7 @@ class Engine {
       case Op::Call: {
         const double arg = eval_f64(n.operand(1));
         ++ev_.math_calls;
-        return flush64(apply_math(static_cast<MathFunc>(n.sub), arg));
+        return flush64(ast::apply(static_cast<MathFunc>(n.sub), arg));
       }
       case Op::IntToF64: return static_cast<double>(eval_int(n.operand(1)));
       case Op::F32ToF64: return static_cast<double>(eval_f32(n.operand(1)));

@@ -7,8 +7,11 @@
 //     sequentially in thread-id order, which is a legal schedule for the
 //     data-race-free programs the generator produces (shared state is only
 //     touched through reductions, criticals, and disjoint array partitions);
-//   * "#pragma omp for" loops distribute iterations with the static schedule
-//     (src/runtime/sched.hpp semantics inlined here as contiguous chunks);
+//   * "#pragma omp for" loops without a chunked schedule split the iterations
+//     into contiguous near-equal chunks (static_chunk); `schedule(static, c)`
+//     and `schedule(dynamic[, c])` deal size-c chunks round-robin in thread
+//     order (c = 1 when omitted) — exact for static,c and a deterministic
+//     stand-in for dynamic, since each iteration still runs on one thread;
 //   * reductions keep a per-thread private comp initialized to the operator
 //     identity and combine in thread order at region exit;
 //   * critical sections count acquisitions for the contention cost models;

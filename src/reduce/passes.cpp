@@ -1,7 +1,6 @@
 #include "reduce/passes.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 
 #include "analysis/race_analyzer.hpp"
@@ -333,22 +332,6 @@ std::vector<Candidate> clause_candidates(const Program& program,
 
 namespace {
 
-double apply_math_fold(ast::MathFunc func, double x) {
-  switch (func) {
-    case ast::MathFunc::Sin: return std::sin(x);
-    case ast::MathFunc::Cos: return std::cos(x);
-    case ast::MathFunc::Tan: return std::tan(x);
-    case ast::MathFunc::Exp: return std::exp(x);
-    case ast::MathFunc::Log: return std::log(x);
-    case ast::MathFunc::Sqrt: return std::sqrt(x);
-    case ast::MathFunc::Fabs: return std::fabs(x);
-    case ast::MathFunc::Floor: return std::floor(x);
-    case ast::MathFunc::Ceil: return std::ceil(x);
-    case ast::MathFunc::Atan: return std::atan(x);
-  }
-  return x;
-}
-
 /// One proposed replacement of pre-order node `node_index` within a site.
 struct ExprProposal {
   std::size_t node_index = 0;
@@ -393,38 +376,20 @@ void enumerate_proposals(const Expr& e, std::size_t& counter,
           rhs.fp_width() == ast::FpWidth::F64 && e.bin_op() != ast::BinOp::Mod) {
         // Constant fold in double, exactly as the emitted code computes
         // (fp literals are always double; see emit/codegen.hpp).
-        const double a = lhs.fp_value();
-        const double b = rhs.fp_value();
-        double v = 0.0;
-        switch (e.bin_op()) {
-          case ast::BinOp::Add: v = a + b; break;
-          case ast::BinOp::Sub: v = a - b; break;
-          case ast::BinOp::Mul: v = a * b; break;
-          case ast::BinOp::Div: v = a / b; break;
-          case ast::BinOp::Mod: break;  // excluded above
-        }
-        out.push_back({me, Expr::fp_const(v), "fold"});
+        out.push_back({me,
+                       Expr::fp_const(ast::apply(e.bin_op(), lhs.fp_value(),
+                                                 rhs.fp_value())),
+                       "fold"});
       }
       if (lhs.kind() == Expr::Kind::IntConst &&
           rhs.kind() == Expr::Kind::IntConst) {
         const std::int64_t a = lhs.int_value();
         const std::int64_t b = rhs.int_value();
-        bool foldable = true;
-        std::int64_t v = 0;
-        switch (e.bin_op()) {
-          case ast::BinOp::Add: v = a + b; break;
-          case ast::BinOp::Sub: v = a - b; break;
-          case ast::BinOp::Mul: v = a * b; break;
-          case ast::BinOp::Div:
-            foldable = b != 0;
-            if (foldable) v = a / b;
-            break;
-          case ast::BinOp::Mod:
-            foldable = b != 0;
-            if (foldable) v = a % b;
-            break;
+        const bool divides =
+            e.bin_op() == ast::BinOp::Div || e.bin_op() == ast::BinOp::Mod;
+        if (!divides || b != 0) {
+          out.push_back({me, Expr::int_const(ast::apply(e.bin_op(), a, b)), "fold"});
         }
-        if (foldable) out.push_back({me, Expr::int_const(v), "fold"});
       }
       out.push_back({me, lhs.clone(), "binary->lhs"});
       out.push_back({me, rhs.clone(), "binary->rhs"});
@@ -438,8 +403,7 @@ void enumerate_proposals(const Expr& e, std::size_t& counter,
           arg.fp_width() == ast::FpWidth::F64) {
         // Math calls always compute in double (C semantics).
         out.push_back(
-            {me, Expr::fp_const(apply_math_fold(e.func(), arg.fp_value())),
-             "fold-call"});
+            {me, Expr::fp_const(ast::apply(e.func(), arg.fp_value())), "fold-call"});
       }
       out.push_back({me, arg.clone(), "call->arg"});
       enumerate_proposals(arg, counter, out);

@@ -1,7 +1,5 @@
 #include "runtime/lock_models.hpp"
 
-#include <thread>
-
 namespace ompfuzz::rt {
 
 const char* to_string(LockAlgorithm a) noexcept {
@@ -47,60 +45,6 @@ double uncontended_ns(LockAlgorithm algorithm) noexcept {
     case LockAlgorithm::FutexMutex: return 30.0;
   }
   return 0.0;
-}
-
-void SpinLock::lock() noexcept {
-  int backoff = 1;
-  while (true) {
-    if (!locked_.exchange(true, std::memory_order_acquire)) return;
-    while (locked_.load(std::memory_order_relaxed)) {
-      for (int i = 0; i < backoff; ++i) {
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#endif
-      }
-      if (backoff < 1024) backoff *= 2;
-    }
-  }
-}
-
-void SpinLock::unlock() noexcept {
-  locked_.store(false, std::memory_order_release);
-}
-
-void TicketLock::lock() noexcept {
-  const std::uint32_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
-  while (serving_.load(std::memory_order_acquire) != ticket) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  }
-}
-
-void TicketLock::unlock() noexcept {
-  serving_.fetch_add(1, std::memory_order_release);
-}
-
-QueueLock::QueueLock() noexcept {
-  // The first acquirer of ticket 0 may proceed immediately.
-  slots_[0].may_enter.store(true, std::memory_order_relaxed);
-}
-
-void QueueLock::lock() noexcept {
-  const std::uint64_t ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket % kMaxThreads];
-  while (!slot.may_enter.load(std::memory_order_acquire)) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-  }
-  slot.may_enter.store(false, std::memory_order_relaxed);  // consume the grant
-  serving_index_ = ticket;
-}
-
-void QueueLock::unlock() noexcept {
-  Slot& nextSlot = slots_[(serving_index_ + 1) % kMaxThreads];
-  nextSlot.may_enter.store(true, std::memory_order_release);
 }
 
 }  // namespace ompfuzz::rt

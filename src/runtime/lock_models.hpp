@@ -1,18 +1,12 @@
 // Lock algorithms used by OpenMP critical-section implementations.
 //
-// Two layers:
-//   1. Analytic contention models (wait_ns_per_entry) used by the cost model
-//      to price critical sections per vendor — GCC's libgomp uses a
-//      spin-then-futex mutex, Intel's libiomp5 a queuing lock
-//      (__kmp_acquire_queuing_lock, the function in the paper's Fig. 8
-//      backtrace), Clang's libomp a test-and-set with backoff.
-//   2. Real, runnable lock implementations (SpinLock, TicketLock, QueueLock)
-//      over std::atomic, exercised by the concurrency tests — the simulator's
-//      analytic curves are validated against the real locks' relative
-//      behavior under contention.
+// Analytic contention models (wait_ns_per_entry) used by the cost model to
+// price critical sections per vendor — GCC's libgomp uses a spin-then-futex
+// mutex, Intel's libiomp5 a queuing lock (__kmp_acquire_queuing_lock, the
+// function in the paper's Fig. 8 backtrace), Clang's libomp a test-and-set
+// with backoff.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace ompfuzz::rt {
@@ -38,50 +32,5 @@ enum class LockAlgorithm : std::uint8_t {
 
 /// Uncontended acquire+release cost.
 [[nodiscard]] double uncontended_ns(LockAlgorithm algorithm) noexcept;
-
-// ---------------------------------------------------------------------------
-// Real lock implementations (test substrate).
-// ---------------------------------------------------------------------------
-
-/// Test-and-set spinlock with exponential backoff.
-class SpinLock {
- public:
-  void lock() noexcept;
-  void unlock() noexcept;
-
- private:
-  std::atomic<bool> locked_{false};
-};
-
-/// FIFO ticket lock.
-class TicketLock {
- public:
-  void lock() noexcept;
-  void unlock() noexcept;
-
- private:
-  std::atomic<std::uint32_t> next_{0};
-  std::atomic<std::uint32_t> serving_{0};
-};
-
-/// Array-based queue lock (CLH-flavored, fixed maximum of 64 threads):
-/// each waiter spins on its own slot, like the kmp queuing lock spins each
-/// thread on a distinct flag word.
-class QueueLock {
- public:
-  static constexpr int kMaxThreads = 64;
-
-  QueueLock() noexcept;
-  void lock() noexcept;
-  void unlock() noexcept;
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<bool> may_enter{false};
-  };
-  Slot slots_[kMaxThreads];
-  std::atomic<std::uint64_t> next_ticket_{0};
-  std::uint64_t serving_index_ = 0;  // owned by the lock holder
-};
 
 }  // namespace ompfuzz::rt

@@ -23,12 +23,6 @@ class ConfigError : public Error {
   explicit ConfigError(const std::string& what) : Error("config: " + what) {}
 };
 
-/// Raised when generated-program construction violates a grammar invariant.
-class GenerationError : public Error {
- public:
-  explicit GenerationError(const std::string& what) : Error("generator: " + what) {}
-};
-
 /// Raised when the interpreter encounters an ill-formed program (a framework
 /// bug: the generator must only produce interpretable programs).
 class InterpError : public Error {

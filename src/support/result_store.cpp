@@ -133,6 +133,42 @@ class LineCursor {
   std::size_t pos_ = 0;
 };
 
+/// Frames `payload` as `REC <payload-bytes> <fnv1a64-of-payload>\n` plus the
+/// payload. Journal records and store record files share the framing, so a
+/// torn or corrupted record fails its checksum instead of parsing.
+std::string frame_record(const std::string& payload) {
+  return "REC " + std::to_string(payload.size()) + " " + hex64(fnv1a64(payload)) +
+         "\n" + payload;
+}
+
+/// Reads the next framed record starting at `pos`. Returns false when the
+/// remaining bytes are not one complete, checksum-valid record (end of file
+/// or the torn tail of a crashed append); `pos` is left at the record start.
+bool read_record(std::string_view file, std::size_t& pos, std::string_view& payload) {
+  const std::size_t start = pos;
+  const std::size_t nl = file.find('\n', start);
+  if (nl == std::string_view::npos) return false;
+  const std::string_view header = file.substr(start, nl - start);
+  if (!header.starts_with("REC ")) return false;
+  const auto fields = split(header.substr(4), ' ');
+  std::int64_t length = 0;
+  std::uint64_t checksum = 0;
+  if (fields.size() != 2 || !parse_i64(fields[0], length) || length < 0 ||
+      !parse_hex64(fields[1], checksum)) {
+    return false;
+  }
+  const std::size_t body_start = nl + 1;
+  if (body_start + static_cast<std::size_t>(length) > file.size()) return false;
+  payload = file.substr(body_start, static_cast<std::size_t>(length));
+  if (fnv1a64(payload) != checksum) return false;
+  pos = body_start + static_cast<std::size_t>(length);
+  return true;
+}
+
+/// First payload line of a store record file. v2 frames the v1 payload
+/// with frame_record; an unframed v1 file reads as a miss.
+constexpr std::string_view kRunMagic = "ompfuzz-run v2";
+
 std::string serialize_run(const core::RunResult& run) {
   std::string out;
   out += "impl " + run.impl + "\n";
@@ -254,22 +290,25 @@ std::optional<core::RunResult> ResultStore::lookup(const RunKey& key) {
   }
   // Injected read faults degrade the record into shapes the parser must
   // reject as a miss: a short read loses trailing fields; a corrupt read
-  // clobbers the version magic (first line), which is guaranteed-detectable
-  // — flipping arbitrary payload bytes could corrupt a value line into
-  // something that still parses, and a wrong cached result is the one
-  // failure a cache must never produce, injected or not.
+  // clobbers the frame's first byte.
   if (inject_fault(FaultSite::StoreReadShort)) text.resize(text.size() / 2);
   if (inject_fault(FaultSite::StoreReadCorrupt) && !text.empty()) {
     text[0] ^= 0x20;
   }
 
-  LineCursor cursor(text);
-  std::string_view line;
+  // The file must be exactly one checksum-valid record: without the frame a
+  // flipped hex digit in a value line would still parse, and a wrong cached
+  // result is the one failure a cache must never produce.
   core::RunResult run;
   std::uint64_t time_bits = 0;
   std::uint64_t output_bits = 0;
   const bool ok = [&] {
-    if (!cursor.next(line) || line != "ompfuzz-run v1") return false;
+    std::size_t end = 0;
+    std::string_view payload;
+    if (!read_record(text, end, payload) || end != text.size()) return false;
+    LineCursor cursor(payload);
+    std::string_view line;
+    if (!cursor.next(line) || line != kRunMagic) return false;
     const auto rec_key = cursor.tagged("key ");
     // A mismatched embedded key is a digest collision (or a foreign file):
     // report a miss rather than a wrong cached result.
@@ -316,8 +355,8 @@ void ResultStore::put(const RunKey& key, const core::RunResult& result) {
   const std::string hex = hex64(d[0]) + hex64(d[1]);
   const std::string canonical = key.canonical();
 
-  std::string record = "ompfuzz-run v1\nkey " + canonical + "\n";
-  record += serialize_run(result);
+  const std::string record = frame_record(std::string(kRunMagic) + "\nkey " +
+                                           canonical + "\n" + serialize_run(result));
 
   // Disk I/O outside the lock: mkdir tolerates EEXIST, temp names are
   // unique per call, and the rename is atomic — concurrent same-key writers
@@ -604,35 +643,6 @@ std::optional<StoredShard> parse_shard_payload(
     shard.outcomes[static_cast<std::size_t>(input_index)] = std::move(outcome);
   }
   return shard;
-}
-
-std::string frame_record(const std::string& payload) {
-  return "REC " + std::to_string(payload.size()) + " " + hex64(fnv1a64(payload)) +
-         "\n" + payload;
-}
-
-/// Reads the next framed record starting at `pos`. Returns false when the
-/// remaining bytes are not one complete, checksum-valid record (end of file
-/// or the torn tail of a crashed append); `pos` is left at the record start.
-bool read_record(std::string_view file, std::size_t& pos, std::string_view& payload) {
-  const std::size_t start = pos;
-  const std::size_t nl = file.find('\n', start);
-  if (nl == std::string_view::npos) return false;
-  const std::string_view header = file.substr(start, nl - start);
-  if (!header.starts_with("REC ")) return false;
-  const auto fields = split(header.substr(4), ' ');
-  std::int64_t length = 0;
-  std::uint64_t checksum = 0;
-  if (fields.size() != 2 || !parse_i64(fields[0], length) || length < 0 ||
-      !parse_hex64(fields[1], checksum)) {
-    return false;
-  }
-  const std::size_t body_start = nl + 1;
-  if (body_start + static_cast<std::size_t>(length) > file.size()) return false;
-  payload = file.substr(body_start, static_cast<std::size_t>(length));
-  if (fnv1a64(payload) != checksum) return false;
-  pos = body_start + static_cast<std::size_t>(length);
-  return true;
 }
 
 }  // namespace

@@ -80,7 +80,9 @@ struct RunKey {
 /// On-disk, content-addressed (RunKey -> RunResult) store.
 ///
 /// Layout: `<dir>/runs/<dd>/<digest>.run`, one record file per key, fanned
-/// out by the first byte of the digest. Record files are written to a
+/// out by the first byte of the digest. Each file is one record framed like
+/// the journal's (`REC <payload-bytes> <fnv1a64-of-payload>`), so corruption
+/// anywhere in it reads as a miss. Record files are written to a
 /// temporary name, fsync'd, then renamed into place, so readers (including
 /// concurrent campaigns sharing one store) never observe a partial record.
 /// Thread-safe: lookups and puts may come from any campaign worker.
@@ -90,7 +92,8 @@ class ResultStore {
 
   /// Returns the cached result for `key`, or nullopt. A record whose
   /// embedded canonical key differs from `key` (digest collision) or that
-  /// fails to parse (foreign/corrupt file) is treated as a miss.
+  /// fails its checksum or its parse (foreign/corrupt file) is treated as a
+  /// miss.
   [[nodiscard]] std::optional<core::RunResult> lookup(const RunKey& key);
 
   /// Persists `result` under `key` (atomically, last writer wins). Disk I/O

@@ -23,8 +23,6 @@ class TextTable {
   /// Adds a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
   /// Renders with a header rule, e.g.
   ///   Name   | Slow | Fast
   ///   -------+------+-----

@@ -1,8 +1,9 @@
 // Tests for the persistent result store and checkpoint journal: cache-key
 // collision-proofing (flags / input values / timeouts all key material),
 // bit-exact round trips, warm-cache campaigns executing zero children,
-// journal crash-safety (truncated final record), and kill-and-resume
-// producing a CampaignResult bit-identical to an uninterrupted run.
+// journal crash-safety (truncated final record), seeded mutation loops over
+// journal and store records, and kill-and-resume producing a CampaignResult
+// bit-identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -28,9 +29,12 @@
 #include "harness/campaign.hpp"
 #include "harness/sim_executor.hpp"
 #include "harness/subprocess_executor.hpp"
+#include "mutate.hpp"
 #include "support/config.hpp"
 #include "support/error.hpp"
 #include "support/result_store.hpp"
+#include "support/rng.hpp"
+#include "support/string_utils.hpp"
 
 namespace ompfuzz::harness {
 namespace {
@@ -159,6 +163,15 @@ StoreConfig store_config(const std::string& dir) {
   cfg.enabled = true;
   cfg.dir = dir;
   return cfg;
+}
+
+std::string record_path(const StoreConfig& cfg, const RunKey& key) {
+  char hex[33];
+  const auto d = key.digest();
+  std::snprintf(hex, sizeof(hex), "%016llx%016llx",
+                static_cast<unsigned long long>(d[0]),
+                static_cast<unsigned long long>(d[1]));
+  return cfg.dir + "/runs/" + std::string(hex, 2) + "/" + hex + ".run";
 }
 
 // ------------------------------------------------------------- RunKey ------
@@ -677,6 +690,208 @@ TEST(Journal, GarbageFileStartsFresh) {
   EXPECT_EQ(reread.open(1, {"impl0"}, true).size(), 1u);
 }
 
+// ------------------------------------------------- mutated records --------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// The payloads of a journal file's `REC <bytes> <fnv1a64>` records,
+/// header first.
+std::vector<std::string> record_payloads(const std::string& file) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos < file.size()) {
+    const std::size_t nl = file.find('\n', pos);
+    const std::size_t len = std::stoul(split(file.substr(pos + 4, nl - pos - 4), ' ')[0]);
+    out.push_back(file.substr(nl + 1, len));
+    pos = nl + 1 + len;
+  }
+  return out;
+}
+
+std::string frame(const std::string& payload) {
+  char sum[17];
+  std::snprintf(sum, sizeof(sum), "%016llx",
+                static_cast<unsigned long long>(fnv1a64(payload)));
+  return "REC " + std::to_string(payload.size()) + " " + sum + "\n" + payload;
+}
+
+bool same_run(const core::RunResult& a, const core::RunResult& b) {
+  return a.impl == b.impl && a.status == b.status &&
+         std::bit_cast<std::uint64_t>(a.time_us) ==
+             std::bit_cast<std::uint64_t>(b.time_us) &&
+         std::bit_cast<std::uint64_t>(a.output) ==
+             std::bit_cast<std::uint64_t>(b.output);
+}
+
+bool same_shard(const StoredShard& a, const StoredShard& b) {
+  if (a.program_index != b.program_index || a.backend_index != b.backend_index ||
+      a.regeneration_attempts != b.regeneration_attempts ||
+      a.program_fingerprint != b.program_fingerprint ||
+      a.outcomes.size() != b.outcomes.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    const StoredOutcome& oa = a.outcomes[i];
+    const StoredOutcome& ob = b.outcomes[i];
+    if (oa.input_index != ob.input_index || oa.program_name != ob.program_name ||
+        oa.input_text != ob.input_text || oa.runs.size() != ob.runs.size()) {
+      return false;
+    }
+    for (std::size_t r = 0; r < oa.runs.size(); ++r) {
+      if (!same_run(oa.runs[r], ob.runs[r])) return false;
+    }
+  }
+  return true;
+}
+
+/// A journal written by a real sim campaign, with the campaign key and
+/// backend layout its header records (what open() needs to resume it) and
+/// the shards it resumes.
+struct RealJournal {
+  std::string bytes;
+  std::uint64_t campaign_key = 0;
+  std::vector<JournalBackend> backends;
+  std::vector<StoredShard> shards;
+};
+
+RealJournal write_real_journal(const std::string& path) {
+  {
+    SimExecutor exec{SimExecutorOptions{}};
+    Campaign campaign(stub_campaign_config(4, 1), exec);
+    CheckpointJournal journal(path);
+    campaign.set_checkpoint(&journal, true);
+    (void)campaign.run();
+  }
+  RealJournal real;
+  real.bytes = read_file(path);
+  for (const std::string& line : split(record_payloads(real.bytes).at(0), '\n')) {
+    const auto fields = split(line, ' ');
+    if (fields[0] == "campaign") real.campaign_key = std::stoull(fields[1], nullptr, 16);
+    if (fields[0] == "backend") real.backends.push_back({fields[1], {}});
+    if (fields[0] == "impl") real.backends.back().impl_names.push_back(fields[1]);
+  }
+  real.shards = CheckpointJournal(path).open(real.campaign_key, real.backends, true);
+  return real;
+}
+
+TEST(JournalMutation, MutatedShardPayloadsResumeTheirPrefix) {
+  // Every shard payload mutant is re-framed with a valid checksum, so the
+  // shard parser itself sees it. The records before the mutant must come
+  // back unchanged. The mutant either ends the resume there, or it reads as
+  // a well-formed shard (its checksum was forged, so its values may differ)
+  // and every later record comes back unchanged too.
+  const TempDir tmp;
+  const std::string path = tmp.path() + "/j.journal";
+  const RealJournal real = write_real_journal(path);
+  const std::vector<StoredShard>& originals = real.shards;
+  const std::vector<std::string> payloads = record_payloads(real.bytes);
+  ASSERT_EQ(originals.size(), 4u);
+  ASSERT_EQ(payloads.size(), originals.size() + 1);
+
+  RandomEngine rng(0x10C3A1);
+  int stopped = 0;
+  int accepted = 0;
+  for (int i = 0; i < 1500; ++i) {
+    const std::size_t m = rng.uniform_index(originals.size());  // shard index
+    std::string file;
+    for (std::size_t k = 0; k < payloads.size(); ++k) {
+      file += frame(k == m + 1 ? mutate(payloads[k], rng) : payloads[k]);
+    }
+    write_file(path, file);
+    const auto shards =
+        CheckpointJournal(path).open(real.campaign_key, real.backends, true);
+    ASSERT_TRUE(shards.size() == m || shards.size() == originals.size())
+        << "mutant of shard " << m << " resumed " << shards.size() << " shards";
+    for (std::size_t k = 0; k < shards.size(); ++k) {
+      if (k != m) {
+        ASSERT_TRUE(same_shard(shards[k], originals[k])) << "shard " << k;
+      }
+    }
+    if (shards.size() == m) {
+      ++stopped;
+      continue;
+    }
+    ++accepted;
+    const StoredShard& shard = shards[m];
+    const auto impls = real.backends.at(static_cast<std::size_t>(shard.backend_index))
+                           .impl_names.size();
+    for (std::size_t k = 0; k < shard.outcomes.size(); ++k) {
+      EXPECT_EQ(shard.outcomes[k].input_index, static_cast<int>(k));
+      EXPECT_EQ(shard.outcomes[k].runs.size(), impls);
+    }
+  }
+  // Both outcomes must occur, or the mutations test nothing.
+  EXPECT_GT(stopped, 300);
+  EXPECT_GT(accepted, 100);
+}
+
+TEST(JournalMutation, CorruptedFileResumesAPrefix) {
+  // Mutations of the file as stored (no re-framing) are what a crash or a
+  // bad disk produces: every damaged record fails its checksum, so open()
+  // returns a prefix of the original shards.
+  const TempDir tmp;
+  const std::string path = tmp.path() + "/j.journal";
+  const RealJournal real = write_real_journal(path);
+  const std::vector<StoredShard>& originals = real.shards;
+  ASSERT_EQ(originals.size(), 4u);
+
+  RandomEngine rng(0x70C3A1);
+  int shorter = 0;
+  for (int i = 0; i < 1000; ++i) {
+    write_file(path, mutate(real.bytes, rng));
+    const auto shards =
+        CheckpointJournal(path).open(real.campaign_key, real.backends, true);
+    ASSERT_LE(shards.size(), originals.size());
+    for (std::size_t k = 0; k < shards.size(); ++k) {
+      ASSERT_TRUE(same_shard(shards[k], originals[k])) << "shard " << k;
+    }
+    if (shards.size() < originals.size()) ++shorter;
+  }
+  EXPECT_GT(shorter, 500);
+}
+
+TEST(StoreMutation, MutatedRecordIsAMissOrTheOriginal) {
+  // A record file is one framed record: whatever a mutation changes, lookup
+  // returns a miss or the exact original result, never a different result.
+  const TempDir tmp;
+  const StoreConfig cfg = store_config(tmp.path() + "/store");
+  const RunKey key{0x5109e0ddf00dULL, "0x1.8p+3 12",
+                   store_impl_identity("gcc", "sim;profile=gcc")};
+  core::RunResult original;
+  original.impl = "gcc";
+  original.status = core::RunStatus::Ok;
+  original.time_us = 1234.5;
+  original.output = 0.1;
+  ResultStore(cfg).put(key, original);
+  const std::string path = record_path(cfg, key);
+  const std::string record = read_file(path);
+  ASSERT_FALSE(record.empty());
+
+  RandomEngine rng(0x5709E);
+  int misses = 0;
+  for (int i = 0; i < 2000; ++i) {
+    write_file(path, mutate(record, rng));
+    const auto cached = ResultStore(cfg).lookup(key);
+    if (!cached) {
+      ++misses;
+      continue;
+    }
+    ASSERT_TRUE(same_run(*cached, original))
+        << "mutated record returned output " << cached->output << ", time "
+        << cached->time_us;
+  }
+  EXPECT_GT(misses, 1500);
+}
+
 // ------------------------------------------------- campaign + journal ------
 
 TEST(CampaignCheckpoint, JournalResumeSkipsCompletedPrograms) {
@@ -760,15 +975,6 @@ RunKey gc_key(int i) {
   key.input_text = "0x1p0";
   key.impl_identity = "name=cc;subprocess;cmd=cc";
   return key;
-}
-
-std::string record_path(const StoreConfig& cfg, const RunKey& key) {
-  char hex[33];
-  const auto d = key.digest();
-  std::snprintf(hex, sizeof(hex), "%016llx%016llx",
-                static_cast<unsigned long long>(d[0]),
-                static_cast<unsigned long long>(d[1]));
-  return cfg.dir + "/runs/" + std::string(hex, 2) + "/" + hex + ".run";
 }
 
 void set_atime(const std::string& path, std::time_t when) {

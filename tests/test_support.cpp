@@ -1,4 +1,4 @@
-// Unit tests for the support substrate: RNG, config, stats, tables, JSON.
+// Unit tests for the support substrate: RNG, config, tables, JSON.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,11 +12,11 @@
 #include <string>
 #include <vector>
 
+#include "mutate.hpp"
 #include "support/config.hpp"
 #include "support/error.hpp"
 #include "support/json_writer.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 #include "support/string_utils.hpp"
 #include "support/table.hpp"
 
@@ -686,31 +686,6 @@ void read_every_section(const std::string& ini) {
   (void)TelemetryConfig::from_config(file);
 }
 
-/// One to three seeded edits: truncation, bit flips, duplicated or deleted
-/// lines.
-std::string mutate(std::string text, RandomEngine& rng) {
-  const int edits = static_cast<int>(rng.uniform_int(1, 3));
-  for (int k = 0; k < edits && !text.empty(); ++k) {
-    const std::size_t kind = rng.uniform_index(4);
-    if (kind == 0) {
-      text.resize(rng.uniform_index(text.size() + 1));
-    } else if (kind == 1) {
-      text[rng.uniform_index(text.size())] ^=
-          static_cast<char>(1U << rng.uniform_index(8));
-    } else {
-      std::vector<std::string> lines = split(text, '\n');
-      const std::size_t at = rng.uniform_index(lines.size());
-      if (kind == 2) {
-        lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), lines[at]);
-      } else {
-        lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at));
-      }
-      text = join(lines, "\n");
-    }
-  }
-  return text;
-}
-
 TEST(ConfigSchema, MutatedIniEndsParsedOrAsConfigError) {
   for (const char* base : {kDemoIni, kEveryKeyIni}) {
     RandomEngine rng(0xC0F16);
@@ -769,38 +744,6 @@ TEST(Strings, FormatThousands) {
   EXPECT_EQ(format_thousands(999), "999");
   EXPECT_EQ(format_thousands(1000), "1,000");
   EXPECT_EQ(format_thousands(85366729), "85,366,729");
-}
-
-// ---------------------------------------------------------------- stats ----
-
-TEST(Stats, MeanAndStddev) {
-  const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 5.0);
-  EXPECT_DOUBLE_EQ(population_stddev(xs), 2.0);
-}
-
-TEST(Stats, MedianOddEven) {
-  EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
-  EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);
-}
-
-TEST(Stats, PercentileEndpoints) {
-  std::vector<double> xs = {10.0, 20.0, 30.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 30.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 20.0);
-}
-
-TEST(Stats, EmptyInputsAreZero) {
-  EXPECT_DOUBLE_EQ(mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(median({}), 0.0);
-  EXPECT_EQ(summarize({}).count, 0u);
-}
-
-TEST(Stats, GeomeanAndNonPositiveGuard) {
-  const std::vector<double> xs = {1.0, 4.0, 16.0};
-  EXPECT_NEAR(geomean(xs), 4.0, 1e-12);
-  EXPECT_DOUBLE_EQ(geomean(std::vector<double>{1.0, 0.0}), 0.0);
 }
 
 // ---------------------------------------------------------------- table ----

@@ -23,6 +23,11 @@ harness/campaign_metrics for the same reason.)
 
 tests/, bench/, and examples/ sit on top of everything and are exempt.
 
+A second check keeps test-only code out of the library: every src/ header
+must be included by some file outside tests/ other than its own .cpp
+(src/, bench/, examples/ or campaign_bench/). A header only the tests reach
+is code no campaign runs; move it into tests/ or delete it.
+
 Usage: tools/check_layering.py [repo_root]   (exits 1 on any violation)
 """
 import re
@@ -52,6 +57,31 @@ EXCEPTIONS = {}
 assert not EXCEPTIONS, "no grandfathered layering exceptions are allowed"
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+
+
+# Directories whose files count as real includers of a src/ header.
+INCLUDER_DIRS = ("src", "bench", "examples", "campaign_bench")
+
+
+def unreached_headers(root: Path, src: Path) -> list:
+    """src/ headers whose only includers are tests/ and their own .cpp."""
+    includers = {}  # header as included ("support/rng.hpp") -> including paths
+    for top in INCLUDER_DIRS:
+        for path in sorted((root / top).rglob("*")):
+            if path.suffix not in (".hpp", ".cpp"):
+                continue
+            for line in path.read_text().splitlines():
+                m = INCLUDE_RE.match(line)
+                if m:
+                    includers.setdefault(m.group(1), set()).add(path)
+    found = []
+    for header in sorted(src.rglob("*.hpp")):
+        name = header.relative_to(src).as_posix()
+        own_cpp = header.with_suffix(".cpp")
+        if not includers.get(name, set()) - {own_cpp}:
+            found.append(f"{header.relative_to(root).as_posix()}: no includer "
+                         "outside tests/ and its own .cpp")
+    return found
 
 
 def main() -> int:
@@ -91,6 +121,8 @@ def main() -> int:
                 # Redundant with the rank test, but stated explicitly: this
                 # is the PR 1 inversion and must never come back.
                 violations.append(f"{rel}:{lineno}: fp must not include ast")
+
+    violations += unreached_headers(root, src)
 
     if violations:
         print(f"check_layering: {len(violations)} violation(s) in {checked} files:")
