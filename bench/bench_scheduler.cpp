@@ -1,22 +1,34 @@
-// Work-stealing speedup of the multi-backend shard scheduler on a
-// skewed-cost workload.
+// Work-stealing speedup of the multi-backend shard scheduler on skewed-cost
+// workloads.
 //
-// The workload models a hang-heavy campaign: one program shard costs 50x
-// the others (a child parked in a hang timeout), and every shard of a
-// campaign sits in one scheduler batch (batching amortizes dispatch
-// overhead when num_programs >> threads — and is exactly the setting where
-// a static split strands a batch behind its most expensive program). With
-// stealing off, the worker that claims the batch executes all of it
-// serially; with stealing on, the idle workers drain the light shards while
-// the owner sits in the heavy one, so wall-clock collapses towards the cost
-// of the heavy shard alone.
+// Program skew models a hang-heavy campaign: one program costs 50x the
+// others (a child parked in a hang timeout), and every program of the
+// campaign sits in one scheduler batch (batching amortizes dispatch overhead
+// when num_programs >> threads — and is exactly the setting where a static
+// split strands a batch behind its most expensive program). With stealing
+// off, the worker that claims the batch executes all of it serially; with
+// stealing on, the idle workers drain the light programs while the owner
+// sits in the heavy one, so wall-clock collapses towards the cost of the
+// heavy program alone.
 //
-// Two properties are verified and recorded in BENCH_scheduler.json:
-//   * >= 2x wall-clock improvement with stealing on vs off (the gate);
+// Input skew models the paper's campaigns, where one program's inputs are
+// all expensive: 3 inputs per program, every input of one program 50x the
+// rest, one batch per program. The scheduler's unit is one (program, input):
+// once the light programs are done, idle workers take the straggler's
+// remaining inputs. The same work cut into whole-program units (one input
+// costing as much as three) is the baseline it must beat: there the
+// straggler's three inputs run back to back on one worker.
+//
+// Three properties are verified and recorded in BENCH_scheduler.json:
+//   * >= 2x wall-clock improvement with stealing on vs off under program
+//     skew (the gate);
+//   * >= 1.5x wall-clock improvement of input units over whole-program units
+//     under input skew;
 //   * the merged CampaignResult is bit-identical across steal schedules and
 //     backend splits — scheduling must never touch results.
 //
 //   $ ./bench_scheduler [num_programs] [light_ms]
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -127,6 +139,48 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(row.stolen));
   }
 
+  // Input skew: the same total work cut into input units and into
+  // whole-program units (one input costing as much as three).
+  constexpr int kInputs = 3;
+  const int skew_programs = std::max(2, num_programs / 4);
+  CampaignConfig skew_cfg = cfg;
+  skew_cfg.num_programs = skew_programs;
+  struct SkewRow {
+    bool whole_program;
+    bool steal;
+    double wall_ms = 0.0;
+    std::uint64_t stolen = 0;
+  };
+  std::vector<SkewRow> skew_rows = {{true, true}, {false, false}, {false, true}};
+  const auto unit_name = [](const SkewRow& row) {
+    return row.whole_program ? "program" : "input";
+  };
+  std::vector<std::string> skew_reports;
+  std::printf("\n  input skew: %d programs x %d inputs, every input of one "
+              "program 50x (%d ms vs %d ms), 4 workers, batch_size = 1\n\n",
+              skew_programs, kInputs, heavy_ms, light_ms);
+  std::printf("  %-8s %-8s %10s %14s\n", "unit", "steal", "wall_ms", "stolen_units");
+  for (SkewRow& row : skew_rows) {
+    const int scale = row.whole_program ? kInputs : 1;
+    SleepExecutor exec("stub", heavy_ms * scale, light_ms * scale);
+    CampaignConfig run_cfg = skew_cfg;
+    run_cfg.inputs_per_program = row.whole_program ? 1 : kInputs;
+    SchedulerConfig sched;
+    sched.steal = row.steal;
+    harness::Campaign campaign(run_cfg, {{&exec, "sleepy"}}, sched);
+    const auto start = std::chrono::steady_clock::now();
+    const harness::CampaignResult result = campaign.run();
+    row.wall_ms =
+        std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    row.stolen = campaign.scheduler_stats().stolen_units;
+    if (!row.whole_program) skew_reports.push_back(harness::to_json(result));
+    std::printf("  %-8s %-8s %10.1f %14llu\n", unit_name(row), row.steal ? "on" : "off",
+                row.wall_ms, static_cast<unsigned long long>(row.stolen));
+  }
+  const double input_speedup = skew_rows[0].wall_ms / skew_rows[2].wall_ms;
+
   // A two-backend split of the same workload must merge to the same report
   // (modulo the impl column this stub campaign has only one of — so give
   // each backend its own stub impl and compare the split against itself
@@ -151,9 +205,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const bool identical = reports[0] == reports[1] && split_identical;
+  const bool identical = reports[0] == reports[1] && split_identical &&
+                         skew_reports[0] == skew_reports[1];
   const double speedup = rows[0].wall_ms / rows[1].wall_ms;
   std::printf("\n  steal-on speedup: %.2fx (gate: >= 2x)\n", speedup);
+  std::printf("  input units vs whole-program units: %.2fx (gate: >= 1.5x)\n",
+              input_speedup);
   std::printf("  results bit-identical across steal/batch/split: %s\n",
               identical ? "yes" : "NO — scheduling changed results!");
 
@@ -178,6 +235,25 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
+  json.key("input_skew").begin_object();
+  json.key("num_programs").value(skew_programs);
+  json.key("inputs_per_program").value(kInputs);
+  json.key("light_ms").value(light_ms);
+  json.key("heavy_ms").value(heavy_ms);
+  json.key("campaign_threads").value(4);
+  json.key("batch_size").value(1);
+  json.key("rows").begin_array();
+  for (const auto& row : skew_rows) {
+    json.begin_object();
+    json.key("unit").value(unit_name(row));
+    json.key("steal").value(row.steal);
+    json.key("wall_ms").value(row.wall_ms);
+    json.key("stolen_units").value(static_cast<std::int64_t>(row.stolen));
+    json.end_object();
+  }
+  json.end_array();
+  json.key("speedup_input_vs_program_units").value(input_speedup);
+  json.end_object();
   json.end_object();
   {
     std::ofstream out("BENCH_scheduler.json");
@@ -189,7 +265,12 @@ int main(int argc, char** argv) {
   if (!fast_enough) {
     std::printf("\n  WARNING: steal speedup %.2fx below the 2x gate\n", speedup);
   }
-  const bool stole = rows[1].stolen > 0;
+  const bool stole = rows[1].stolen > 0 && skew_rows[2].stolen > 0;
   if (!stole) std::printf("\n  WARNING: stealing moved no units\n");
-  return identical && fast_enough && stole ? 0 : 1;
+  const bool inputs_win = input_speedup >= 1.5;
+  if (!inputs_win) {
+    std::printf("\n  WARNING: input units %.2fx over whole-program units, "
+                "below the 1.5x gate\n", input_speedup);
+  }
+  return identical && fast_enough && stole && inputs_win ? 0 : 1;
 }

@@ -133,6 +133,7 @@ TestCase Campaign::make_test_case(int program_index) const {
   if (!analysis::analyze_races(test.program, affine_only).race_free()) {
     test.analysis.interval_rescued_drafts = 1;
   }
+  test.fingerprint = test.program.fingerprint();
   test.features = ast::analyze(test.program);
 
   fp::InputGenOptions in_opt;
@@ -152,11 +153,12 @@ TestCase Campaign::make_test_case(int program_index) const {
 
 namespace {
 
-/// Everything one (program, backend) unit produces: the raw runs of that
-/// backend's implementation subset, input-major, plus the metadata of the
-/// program they ran. Classification happens after ALL backends of a program
-/// completed — the outlier analysis compares an implementation against the
-/// whole team, which spans backends.
+/// Everything one (program, backend) sub-shard produces: the raw runs of
+/// that backend's implementation subset, input-major, plus the metadata of
+/// the program they ran. Each input unit fills its own row of `runs`.
+/// Classification happens after ALL backends of a program completed — the
+/// outlier analysis compares an implementation against the whole team,
+/// which spans backends.
 struct SubShard {
   bool done = false;
   /// Any run fabricated by a harness failure (compile/spawn infrastructure
@@ -173,12 +175,12 @@ struct SubShard {
 };
 
 /// A sub-shard describing `test` — program fingerprint, name, input
-/// serializations and draft-analysis tally — with no runs yet. Executed,
-/// fabricated and restored sub-shards all take their metadata from here, so
-/// every sub-shard of a program describes the program generated today.
+/// serializations and draft-analysis tally — with no runs yet. Executed and
+/// restored sub-shards both take their metadata from here, so every
+/// sub-shard of a program describes the program generated today.
 SubShard shard_for(const TestCase& test) {
   SubShard shard;
-  shard.fingerprint = test.program.fingerprint();
+  shard.fingerprint = fingerprint_of(test);
   shard.program_name = test.program.name();
   shard.input_texts.reserve(test.inputs.size());
   for (const auto& input : test.inputs) {
@@ -248,25 +250,6 @@ core::RunResult fabricated_run(const std::string& impl_name) {
   return result;
 }
 
-/// Sub-shard of a dead backend with no compatible spare: every run is a
-/// fabricated harness failure, but the program metadata is still generated
-/// for real so the merge sees the same program every healthy backend sees.
-/// Always tainted — never journaled.
-SubShard fabricate_shard_unit(const Campaign& campaign,
-                              const std::vector<std::string>& impl_names,
-                              int p) {
-  SubShard shard = shard_for(campaign.make_test_case(p));
-  shard.runs.reserve(shard.input_texts.size() * impl_names.size());
-  for (std::size_t i = 0; i < shard.input_texts.size(); ++i) {
-    for (const auto& name : impl_names) {
-      shard.runs.push_back(fabricated_run(name));
-    }
-  }
-  shard.tainted = true;
-  shard.done = true;
-  return shard;
-}
-
 /// Journal record of one completed sub-shard (raw runs only; verdicts are
 /// recomputed on restore).
 StoredShard to_stored(const SubShard& shard, int p, int backend_index) {
@@ -312,8 +295,8 @@ bool describes(const StoredShard& stored, const SubShard& current) {
 /// Per-run state shared by the stages of Campaign::run.
 struct Campaign::RunState {
   /// A backend whose units keep coming back fully exhausted (tainted even
-  /// after run_on's retries) is declared dead after
-  /// `retry.backend_death_threshold` consecutive tainted sub-shards. From
+  /// after run_input's retries) is declared dead after
+  /// `retry.backend_death_threshold` consecutive tainted input units. From
   /// then on its units go to a matching failover spare — or, with no spare,
   /// are fabricated without touching the executor and surface as
   /// quarantined triples plus a lost_backends entry.
@@ -322,15 +305,42 @@ struct Campaign::RunState {
     std::atomic<bool> dead{false};
   };
 
+  /// One (program, backend) sub-shard while its input units run: the
+  /// TestCase they share, built by the first unit to arrive (later ones wait
+  /// on `mutex` meanwhile) and released by the last one to finish. A
+  /// worker runs its batch's inputs in order and thieves take only inputs
+  /// of sub-shards already started, so about `threads` TestCases are live at
+  /// once. Each backend's sub-shard generates its own, so an N-backend
+  /// campaign runs the generator N times per program: batches are
+  /// backend-major, and sharing across backends would keep a program's AST
+  /// live until the last backend reaches it.
+  struct OpenShard {
+    std::mutex mutex;
+    std::unique_ptr<const TestCase> test;
+    std::atomic<std::size_t> inputs_left{0};
+  };
+
   explicit RunState(Campaign& owner);
 
-  /// Executes unit (b, p) through whatever path backend b's health
-  /// dictates, updating the health streak on the primary path.
-  SubShard execute_unit(std::size_t b, int p);
+  /// Executes input `i` of sub-shard (p, b) through whatever path backend
+  /// b's health dictates, updating the health streak on the primary path.
+  /// The sub-shard's last input to finish completes it: see finish_shard.
+  void execute_unit(std::size_t b, int p, std::size_t i);
 
-  /// Runs unit (b, p) on `executor`; see the definition.
-  SubShard run_on(Executor& executor, std::mutex* exec_mutex, std::size_t b,
-                  int p, const std::atomic<bool>* backend_dead);
+  /// The TestCase of sub-shard (p, b), generated — and the sub-shard's
+  /// metadata filled in — by the first unit that asks.
+  const TestCase& open_shard(std::size_t b, int p);
+
+  /// Runs input `i` of sub-shard (p, b) on `executor`; see the definition.
+  /// Returns whether any of its runs is a harness failure.
+  bool run_input(Executor& executor, std::mutex* exec_mutex, std::size_t b,
+                 int p, std::size_t i, const TestCase& test,
+                 const std::atomic<bool>* backend_dead);
+
+  /// Completes sub-shard (p, b) once its inputs all ran: marks it done,
+  /// journals it, and releases its TestCase and the executors' per-program
+  /// state (Executor::reclaim_artifacts).
+  void finish_shard(std::size_t b, int p);
 
   /// Journals a completed sub-shard. Appends never abort the campaign: a
   /// failed append only means this unit re-executes on resume, which is
@@ -360,6 +370,8 @@ struct Campaign::RunState {
   std::vector<std::unique_ptr<std::mutex>> spare_mutexes;
   /// Sub-shards, indexed [program][backend].
   std::vector<std::vector<SubShard>> grid;
+  /// In-flight state of the same sub-shards, indexed [p * nb + b].
+  std::vector<OpenShard> open;
 };
 
 Campaign::RunState::RunState(Campaign& owner)
@@ -369,7 +381,7 @@ Campaign::RunState::RunState(Campaign& owner)
       ni(static_cast<std::size_t>(owner.config_.inputs_per_program)),
       impls(nb), identities(nb), exec_mutexes(nb), health(nb),
       spare_for(nb, -1), spare_mutexes(owner.failover_.size()),
-      grid(np, std::vector<SubShard>(nb)) {
+      grid(np, std::vector<SubShard>(nb)), open(np * nb) {
   // Fresh telemetry baselines for this run: the registry counters are
   // process-wide and monotonic, so the per-run accessors
   // (robustness_counters, run_metrics) subtract the values captured here.
@@ -419,19 +431,27 @@ Campaign::RunState::RunState(Campaign& owner)
   }
 }
 
-SubShard Campaign::RunState::execute_unit(std::size_t b, int p) {
+void Campaign::RunState::execute_unit(std::size_t b, int p, std::size_t i) {
+  const TestCase& test = open_shard(b, p);
   if (health[b].dead.load(std::memory_order_acquire)) {
     if (spare_for[b] >= 0) {
       const auto s = static_cast<std::size_t>(spare_for[b]);
       campaign.metrics_.failover_units->add();
-      return run_on(*campaign.failover_[s], spare_mutexes[s].get(), b, p, nullptr);
+      (void)run_input(*campaign.failover_[s], spare_mutexes[s].get(), b, p, i,
+                      test, nullptr);
+      return;
     }
+    // No spare: every run is a fabricated harness failure, but the program
+    // metadata was still generated for real, so the merge sees the same
+    // program every healthy backend sees.
     campaign.metrics_.fabricated_units->add();
-    return fabricate_shard_unit(campaign, impls[b], p);
+    const std::size_t nj = impls[b].size();
+    auto& runs = grid[static_cast<std::size_t>(p)][b].runs;
+    for (std::size_t j = 0; j < nj; ++j) runs[i * nj + j] = fabricated_run(impls[b][j]);
+    return;
   }
-  SubShard shard = run_on(*campaign.backends_[b].executor,
-                          exec_mutexes[b].get(), b, p, &health[b].dead);
-  if (shard.tainted) {
+  if (run_input(*campaign.backends_[b].executor, exec_mutexes[b].get(), b, p, i,
+                test, &health[b].dead)) {
     const int streak =
         health[b].consecutive.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (streak >= campaign.config_.retry.backend_death_threshold &&
@@ -441,7 +461,46 @@ SubShard Campaign::RunState::execute_unit(std::size_t b, int p) {
   } else {
     health[b].consecutive.store(0, std::memory_order_relaxed);
   }
-  return shard;
+}
+
+const TestCase& Campaign::RunState::open_shard(std::size_t b, int p) {
+  const auto pi = static_cast<std::size_t>(p);
+  OpenShard& slot = open[pi * nb + b];
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  if (slot.test == nullptr) {
+    slot.test = std::make_unique<const TestCase>(campaign.make_test_case(p));
+    SubShard& shard = grid[pi][b];
+    shard = shard_for(*slot.test);
+    shard.runs.resize(ni * impls[b].size());
+  }
+  return *slot.test;
+}
+
+void Campaign::RunState::finish_shard(std::size_t b, int p) {
+  const auto pi = static_cast<std::size_t>(p);
+  OpenShard& slot = open[pi * nb + b];
+  if (slot.inputs_left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  SubShard& shard = grid[pi][b];
+  shard.tainted = std::any_of(shard.runs.begin(), shard.runs.end(),
+                              [](const core::RunResult& r) {
+                                return r.harness_failure;
+                              });
+  shard.done = true;
+  journal_append(shard, p, b);
+  // No input of the program runs on this backend any more, so the executors
+  // may drop what they keep for it (lowered forms, binaries).
+  const auto reclaim = [&](Executor& executor, std::mutex* mutex) {
+    std::unique_lock<std::mutex> lock;
+    if (mutex != nullptr) lock = std::unique_lock<std::mutex>(*mutex);
+    executor.reclaim_artifacts(shard.fingerprint);
+  };
+  reclaim(*campaign.backends_[b].executor, exec_mutexes[b].get());
+  if (spare_for[b] >= 0) {
+    const auto s = static_cast<std::size_t>(spare_for[b]);
+    reclaim(*campaign.failover_[s], spare_mutexes[s].get());
+  }
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  slot.test.reset();
 }
 
 void Campaign::RunState::journal_append(const SubShard& shard, int p,
@@ -454,13 +513,13 @@ void Campaign::RunState::journal_append(const SubShard& shard, int p,
   }
 }
 
-/// Generates program `p` and runs every (input, implementation) pair of
-/// backend `b`'s implementation subset on `executor` (the backend's own or
-/// its failover spare) that is not already in the result store.
-/// Pure function of the campaign config, the backend's executor, and the
-/// store contents (the store only ever holds what the executor would have
-/// produced); `exec_mutex` serializes executor calls when the backend is not
-/// thread-safe.
+/// Runs input `i` of program `p` (`test`, shared by the sub-shard's units)
+/// under every implementation of backend `b` whose run is not already in the
+/// result store, on `executor` (the backend's own or its failover spare),
+/// into row `i` of sub-shard (p, b). Pure function of the campaign config,
+/// the backend's executor, and the store contents (the store only ever holds
+/// what the executor would have produced); `exec_mutex` serializes executor
+/// calls when the backend is not thread-safe.
 ///
 /// Fault tolerance: a batch the executor cannot deliver (it threw, returned
 /// a short batch, or an injected dispatch fault fired) is fabricated as
@@ -471,21 +530,15 @@ void Campaign::RunState::journal_append(const SubShard& shard, int p,
 /// transient fault leaves no trace in the merged result. Retrying stops
 /// early when `backend_dead` flips: the campaign's failover/quarantine
 /// machinery takes over from there.
-///
-/// Each unit regenerates its own TestCase, so an N-backend campaign runs the
-/// generator N times per program. Deliberate: batches are backend-major, so
-/// one program's units can be claimed arbitrarily far apart — sharing the
-/// TestCase would hold up to num_programs ASTs live at once, and generation
-/// is a bounded CPU cost per unit where the executed runs (compiles, test
-/// children, interpretation) dominate.
-SubShard Campaign::RunState::run_on(Executor& executor, std::mutex* exec_mutex,
-                                    std::size_t b, int p,
-                                    const std::atomic<bool>* backend_dead) {
+bool Campaign::RunState::run_input(Executor& executor, std::mutex* exec_mutex,
+                                   std::size_t b, int p, std::size_t i,
+                                   const TestCase& test,
+                                   const std::atomic<bool>* backend_dead) {
+  SubShard& shard = grid[static_cast<std::size_t>(p)][b];
   telemetry::ScopedSpan span("run-batch", "shard_unit");
-  const TestCase test = campaign.make_test_case(p);
-  SubShard shard = shard_for(test);
   if (span.active()) {
     span.arg("program", p);
+    span.arg("input", static_cast<std::uint64_t>(i));
     span.arg("backend", static_cast<int>(b));
     span.arg("fingerprint", telemetry::hex_fingerprint(shard.fingerprint));
   }
@@ -493,111 +546,73 @@ SubShard Campaign::RunState::run_on(Executor& executor, std::mutex* exec_mutex,
   ResultStore* const store = campaign.store_;
   const std::vector<std::string>& impl_names = impls[b];
   const std::vector<std::string>& impl_identities = identities[b];
-  const std::size_t ni = shard.input_texts.size();
   const std::size_t nj = impl_names.size();
-  const auto key_for = [&](std::size_t i, std::size_t j) {
+  // This unit's row of the sub-shard: runs[j] is implementation j's run.
+  core::RunResult* const runs = shard.runs.data() + i * nj;
+  const auto key_for = [&](std::size_t j) {
     return RunKey{shard.fingerprint, shard.input_texts[i], impl_identities[j]};
   };
 
-  // Consult the run cache triple-by-triple. An implementation with an empty
-  // identity is never cached (the executor cannot vouch for reuse).
-  std::vector<core::RunResult> runs(ni * nj);
-  std::vector<char> have(ni * nj, 0);
+  // Consult the run cache. An implementation with an empty identity is never
+  // cached (the executor cannot vouch for reuse). `need` marks the runs the
+  // executor still owes; the retry loop below narrows it to whatever came
+  // back as a harness failure.
+  std::vector<char> need(nj, 1);
   if (store != nullptr) {
     for (std::size_t j = 0; j < nj; ++j) {
       if (impl_identities[j].empty()) continue;
-      for (std::size_t i = 0; i < ni; ++i) {
-        if (auto hit = store->lookup(key_for(i, j))) {
-          runs[i * nj + j] = std::move(*hit);
-          have[i * nj + j] = 1;
-        }
+      if (auto hit = store->lookup(key_for(j))) {
+        runs[j] = std::move(*hit);
+        need[j] = 0;
       }
     }
   }
 
-  // `need` marks the triples the executor still owes after the cache
-  // consult; dispatch_pending fills `runs` for exactly those and the retry
-  // loop below narrows `need` to whatever came back as a harness failure.
-  std::vector<char> need(ni * nj, 0);
-  for (std::size_t idx = 0; idx < ni * nj; ++idx) need[idx] = !have[idx];
-
-  // Batch the needed triples: implementations sharing the same missing
-  // input set go to the executor in one run_batch call (the pipelined
-  // backend overlaps all of its children), in implementation order. A cold
-  // or store-less unit therefore degenerates to one batched call covering
-  // every (input, impl) pair of this backend — and a fully warm unit
-  // dispatches nothing at all. The input-major result order is part of the
-  // run_batch contract.
+  // The needed implementations go to the executor in one run_batch call, in
+  // implementation order (the pipelined backend overlaps their children); a
+  // fully warm unit dispatches nothing at all.
   //
   // A batch the executor cannot deliver — it threw, returned the wrong
   // number of results, or an injected dispatch fault fired — is fabricated
-  // as harness failures for its whole group. A short batch used to be a
-  // fatal invariant violation; on a multi-backend campaign that let one
-  // misbehaving backend abort everyone else's work, so it degrades to the
-  // same quarantine path every other infrastructure failure takes.
+  // as harness failures for every implementation it held. A short batch used
+  // to be a fatal invariant violation; on a multi-backend campaign that let
+  // one misbehaving backend abort everyone else's work, so it degrades to
+  // the same quarantine path every other infrastructure failure takes.
   const auto dispatch_pending = [&] {
-    struct BatchGroup {
-      std::vector<std::size_t> missing_inputs;
-      std::vector<std::size_t> impl_ids;
-    };
-    std::vector<BatchGroup> groups;
+    std::vector<std::size_t> ids;
+    std::vector<std::string> names;
     for (std::size_t j = 0; j < nj; ++j) {
-      std::vector<std::size_t> missing;
-      for (std::size_t i = 0; i < ni; ++i) {
-        if (need[i * nj + j]) missing.push_back(i);
+      if (!need[j]) continue;
+      ids.push_back(j);
+      names.push_back(impl_names[j]);
+    }
+    if (ids.empty()) return;
+
+    std::vector<core::RunResult> batch;
+    bool delivered = !inject_fault(FaultSite::Dispatch);
+    if (delivered) {
+      try {
+        std::unique_lock<std::mutex> lock;
+        if (exec_mutex != nullptr) lock = std::unique_lock<std::mutex>(*exec_mutex);
+        batch = executor.run_batch(test, {i}, names);
+      } catch (const std::exception&) {
+        delivered = false;
       }
-      if (missing.empty()) continue;
-      auto it = std::find_if(groups.begin(), groups.end(), [&](const BatchGroup& g) {
-        return g.missing_inputs == missing;
-      });
-      if (it == groups.end()) {
-        groups.push_back({std::move(missing), {j}});
-      } else {
-        it->impl_ids.push_back(j);
+      if (delivered && batch.size() != ids.size()) {
+        delivered = false;  // short batch — see the note above
       }
     }
-
-    for (const auto& group : groups) {
-      std::vector<std::string> group_impls;
-      group_impls.reserve(group.impl_ids.size());
-      for (const std::size_t j : group.impl_ids) group_impls.push_back(impl_names[j]);
-
-      std::vector<core::RunResult> batch;
-      bool delivered = !inject_fault(FaultSite::Dispatch);
-      if (delivered) {
-        try {
-          std::unique_lock<std::mutex> lock;
-          if (exec_mutex != nullptr) lock = std::unique_lock<std::mutex>(*exec_mutex);
-          batch = executor.run_batch(test, group.missing_inputs, group_impls);
-        } catch (const std::exception&) {
-          delivered = false;
-        }
-        if (delivered &&
-            batch.size() != group.missing_inputs.size() * group_impls.size()) {
-          delivered = false;  // short batch — see the note above
-        }
-      }
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const std::size_t j = ids[k];
       if (!delivered) {
-        for (const std::size_t i : group.missing_inputs) {
-          for (const std::size_t j : group.impl_ids) {
-            runs[i * nj + j] = fabricated_run(impl_names[j]);
-          }
-        }
+        runs[j] = fabricated_run(impl_names[j]);
         continue;
       }
-
-      for (std::size_t ii = 0; ii < group.missing_inputs.size(); ++ii) {
-        for (std::size_t jj = 0; jj < group.impl_ids.size(); ++jj) {
-          const std::size_t i = group.missing_inputs[ii];
-          const std::size_t j = group.impl_ids[jj];
-          core::RunResult& result = batch[ii * group.impl_ids.size() + jj];
-          if (store != nullptr && !impl_identities[j].empty() &&
-              !result.harness_failure) {
-            store->put(key_for(i, j), result);
-          }
-          runs[i * nj + j] = std::move(result);
-        }
+      if (store != nullptr && !impl_identities[j].empty() &&
+          !batch[k].harness_failure) {
+        store->put(key_for(j), batch[k]);
       }
+      runs[j] = std::move(batch[k]);
     }
   };
 
@@ -611,9 +626,9 @@ SubShard Campaign::RunState::run_on(Executor& executor, std::mutex* exec_mutex,
   std::int64_t delay_ms = std::min(retry.base_ms, retry.cap_ms);
   for (int attempt = 1; attempt < retry.max_attempts; ++attempt) {
     std::uint64_t failed = 0;
-    for (std::size_t idx = 0; idx < ni * nj; ++idx) {
-      need[idx] = need[idx] && runs[idx].harness_failure;
-      if (need[idx]) ++failed;
+    for (std::size_t j = 0; j < nj; ++j) {
+      need[j] = need[j] && runs[j].harness_failure;
+      if (need[j]) ++failed;
     }
     if (failed == 0) break;
     if (backend_dead != nullptr && backend_dead->load(std::memory_order_acquire)) {
@@ -628,13 +643,8 @@ SubShard Campaign::RunState::run_on(Executor& executor, std::mutex* exec_mutex,
     dispatch_pending();
   }
 
-  shard.tainted = std::any_of(runs.begin(), runs.end(),
-                              [](const core::RunResult& r) {
-                                return r.harness_failure;
-                              });
-  shard.runs = std::move(runs);
-  shard.done = true;
-  return shard;
+  return std::any_of(runs, runs + nj,
+                     [](const core::RunResult& r) { return r.harness_failure; });
 }
 
 void Campaign::add_failover(Executor* spare) {
@@ -766,23 +776,26 @@ void Campaign::restore(RunState& state) {
 }
 
 void Campaign::execute(RunState& state, const ProgressFn& progress) {
-  // Schedule the remaining units — one per (program, backend),
+  // Schedule the remaining units — one per (program, input, backend),
   // deterministic in isolation thanks to the per-program RandomEngine::fork
-  // streams in make_test_case. Each completed unit is journaled durably
-  // before it counts as progress, so a kill can only lose in-flight units.
+  // streams in make_test_case. Each completed sub-shard is journaled
+  // durably before its units count as progress, so a kill can only lose
+  // in-flight sub-shards.
   std::vector<std::vector<int>> pending(state.nb);
-  std::vector<std::atomic<int>> remaining(state.np);
+  std::vector<std::atomic<std::size_t>> remaining(state.np);
   std::size_t scheduled_units = 0;
   for (std::size_t p = 0; p < state.np; ++p) {
-    int left = 0;
+    std::size_t left = 0;
     for (std::size_t b = 0; b < state.nb; ++b) {
       if (!state.grid[p][b].done) {
         pending[b].push_back(static_cast<int>(p));
-        ++left;
+        state.open[p * state.nb + b].inputs_left.store(state.ni,
+                                                       std::memory_order_relaxed);
+        left += state.ni;
       }
     }
     remaining[p].store(left, std::memory_order_relaxed);
-    scheduled_units += static_cast<std::size_t>(left);
+    scheduled_units += left;
   }
 
   int completed = resumed_programs_;
@@ -796,12 +809,10 @@ void Campaign::execute(RunState& state, const ProgressFn& progress) {
 
   const auto run_unit = [&](const ShardUnit& unit) {
     const auto p = static_cast<std::size_t>(unit.program_index);
-    const std::size_t b = unit.backend;
     const std::uint64_t t0 = telemetry::Tracer::now_ns();
-    SubShard shard = state.execute_unit(b, unit.program_index);
+    state.execute_unit(unit.backend, unit.program_index, unit.input_index);
     metrics_.unit_micros->record((telemetry::Tracer::now_ns() - t0) / 1000);
-    state.journal_append(shard, unit.program_index, b);
-    state.grid[p][b] = std::move(shard);
+    state.finish_shard(unit.backend, unit.program_index);
     metrics_.units_done->add(1);
     if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) == 1 && progress) {
       const std::lock_guard<std::mutex> lock(progress_mutex);
@@ -816,15 +827,15 @@ void Campaign::execute(RunState& state, const ProgressFn& progress) {
     if (schedule_span.active()) {
       schedule_span.arg("units", static_cast<std::uint64_t>(scheduled_units));
     }
-    scheduler_stats_ = scheduler.run(pending, run_unit);
+    scheduler_stats_ = scheduler.run(pending, state.ni, run_unit);
   }
 
-  // Failover sweep: units of a dead backend that exhausted their retries
-  // BEFORE the death was detected (the streak that killed it) are re-run on
-  // its spare, restoring the exact runs a healthy campaign would have
-  // produced — a backend lost mid-campaign with a compatible spare leaves no
-  // trace in the merged result. Dead backends without a spare keep their
-  // fabricated columns; the merge reports them as lost.
+  // Failover sweep: sub-shards of a dead backend that exhausted their
+  // retries BEFORE the death was detected (the streak that killed it) are
+  // re-run on its spare, restoring the exact runs a healthy campaign would
+  // have produced — a backend lost mid-campaign with a compatible spare
+  // leaves no trace in the merged result. Dead backends without a spare keep
+  // their fabricated columns; the merge reports them as lost.
   for (std::size_t b = 0; b < state.nb; ++b) {
     if (!state.health[b].dead.load(std::memory_order_acquire) ||
         state.spare_for[b] < 0) {
@@ -832,8 +843,12 @@ void Campaign::execute(RunState& state, const ProgressFn& progress) {
     }
     for (std::size_t p = 0; p < state.np; ++p) {
       if (!state.grid[p][b].tainted) continue;
-      state.grid[p][b] = state.execute_unit(b, static_cast<int>(p));
-      state.journal_append(state.grid[p][b], static_cast<int>(p), b);
+      state.open[p * state.nb + b].inputs_left.store(state.ni,
+                                                     std::memory_order_relaxed);
+      for (std::size_t i = 0; i < state.ni; ++i) {
+        state.execute_unit(b, static_cast<int>(p), i);
+        state.finish_shard(b, static_cast<int>(p));
+      }
     }
   }
 }

@@ -101,8 +101,8 @@ struct RobustnessStats {
 struct RobustnessCounters {
   std::uint64_t retried_triples = 0;   ///< (input, impl) triples re-dispatched
   std::uint64_t retry_rounds = 0;      ///< backoff rounds slept before retrying
-  std::uint64_t failover_units = 0;    ///< sub-shards executed by a spare
-  std::uint64_t fabricated_units = 0;  ///< sub-shards fabricated without dispatch
+  std::uint64_t failover_units = 0;    ///< (program, input) units run by a spare
+  std::uint64_t fabricated_units = 0;  ///< units fabricated without dispatch
   std::uint64_t journal_failures = 0;  ///< checkpoint appends that failed
 };
 
@@ -148,9 +148,10 @@ class Campaign {
            SchedulerConfig scheduler = {});
 
   /// Runs the whole campaign. Deterministic given the config seed and the
-  /// executors (SimExecutor is fully deterministic): program sub-shards are
-  /// scheduled across `config.threads` workers in batches (with idle workers
-  /// stealing from straggler batches) and aggregated in program order, so
+  /// executors (SimExecutor is fully deterministic): (program, input,
+  /// backend) units are scheduled across `config.threads` workers in batches
+  /// of programs (with idle workers stealing unstarted inputs from straggler
+  /// batches) and aggregated in program order, so
   /// the result is bit-identical for every thread count, backend split,
   /// batch size, and steal schedule — and, with a result store or checkpoint
   /// attached, identical whether each run was executed, cached, or resumed

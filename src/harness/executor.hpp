@@ -62,12 +62,24 @@ struct StaticAnalysisStats {
 /// One generated test: a program plus its generated inputs.
 struct TestCase {
   ast::Program program;
+  /// program.fingerprint(), hashed once by whoever built the test
+  /// (Campaign::make_test_case, the reducer's oracle): executors are called
+  /// once per input and would otherwise re-hash the whole program on every
+  /// call. 0 means not filled in. Code that changes `program` afterwards must
+  /// refill it. Read it through fingerprint_of().
+  std::uint64_t fingerprint = 0;
   ast::ProgramFeatures features;
   std::vector<fp::InputSet> inputs;
   std::uint64_t seed = 0;
   int regeneration_attempts = 0;  ///< racy drafts discarded before this one
   StaticAnalysisStats analysis;   ///< tally of every draft analyzed for it
 };
+
+/// The fingerprint of `test`'s program: the stored one when filled in, else
+/// hashed now.
+[[nodiscard]] inline std::uint64_t fingerprint_of(const TestCase& test) {
+  return test.fingerprint != 0 ? test.fingerprint : test.program.fingerprint();
+}
 
 class Executor {
  public:
@@ -85,7 +97,10 @@ class Executor {
   /// implementation — but a backend that can overlap work (the subprocess
   /// pipeline keeps dozens of compiler/test children in flight) overrides it
   /// to see the whole batch at once. The campaign engine calls this once per
-  /// program shard.
+  /// input of a program (one call per scheduling unit), so the inputs of one
+  /// test may arrive in separate calls, on different threads; an executor
+  /// may keep per-program state across those calls (compiled binaries,
+  /// lowered forms) until reclaim_artifacts releases it.
   [[nodiscard]] virtual std::vector<core::RunResult> run_batch(
       const TestCase& test, const std::vector<std::size_t>& input_indices,
       const std::vector<std::string>& impls) {
@@ -119,9 +134,11 @@ class Executor {
   /// Releases any on-disk artifacts and cached compile state this executor
   /// still holds for the program with `program_fingerprint` (the subprocess
   /// backend keeps one emitted source + compiled binary per implementation
-  /// in its work_dir, plus a binary-cache future). Callers invoke it once a
-  /// program's verdicts are safely in the result store — a long reduction
-  /// would otherwise leave one source+binary per candidate per impl on disk.
+  /// in its work_dir, plus a binary-cache future; the simulated backend keeps
+  /// the lowered program). The campaign calls it when a program's last input
+  /// on this backend finishes, and the reducer's oracle once a candidate's
+  /// verdicts are memoized — a long reduction would otherwise leave one
+  /// source+binary per candidate per impl on disk.
   /// Must not be called while runs of that program are still in flight.
   /// Reclaiming is always safe for correctness: a later request for the same
   /// program re-emits and re-compiles. Default: nothing to reclaim.

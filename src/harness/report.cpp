@@ -100,7 +100,7 @@ std::string render_scheduler_summary(
     const telemetry::MetricsSnapshot& metrics) {
   std::string out = "scheduler: " +
                     std::to_string(metrics.counter("scheduler.units")) +
-                    " sub-shards in " +
+                    " units in " +
                     std::to_string(metrics.counter("scheduler.batches")) +
                     " batches, " +
                     std::to_string(metrics.counter("scheduler.stolen_units")) +
@@ -111,7 +111,7 @@ std::string render_scheduler_summary(
     out += join(impls, ", ");
     const std::int64_t units =
         metrics.gauge("scheduler.backend." + std::to_string(b) + ".units");
-    out += " (" + std::to_string(units) + " sub-shards)\n";
+    out += " (" + std::to_string(units) + " units)\n";
   }
   return out;
 }
@@ -159,7 +159,7 @@ std::string render_robustness_summary(const CampaignResult& result,
                     " triples retried in " +
                     std::to_string(counters.retry_rounds) + " rounds, " +
                     std::to_string(counters.failover_units) +
-                    " sub-shards failed over, " +
+                    " units failed over, " +
                     std::to_string(counters.fabricated_units) +
                     " fabricated\n";
   out += "  quarantined triples: " +

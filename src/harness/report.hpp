@@ -51,7 +51,7 @@ namespace ompfuzz::harness {
 
 /// Retry/failover/fault-injection summary: the deterministic RobustnessStats
 /// (quarantined triples, lost backends — also in the JSON's `robustness`
-/// block) next to the wall-clock-style counters (retries fired, sub-shards
+/// block) next to the wall-clock-style counters (retries fired, units
 /// failed over, per-site fault-injection hits), which are nondeterministic
 /// and therefore stdout-only, exactly like the analysis timing above. Pass
 /// Campaign::robustness_counters() as `counters`.

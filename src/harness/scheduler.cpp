@@ -13,16 +13,23 @@ namespace ompfuzz::harness {
 
 namespace {
 
-/// One batch of sub-shard units for one backend. Workers (owner and thieves
-/// alike) claim units with a single fetch_add on `next`, so a unit is
-/// executed exactly once no matter how many workers scan the batch.
+/// One batch of units for one backend: `programs` × `inputs` units, claimed
+/// program-major so each program's inputs go out in order. Workers (owner
+/// and thieves alike) claim units with a single fetch_add on `next`, so a
+/// unit is executed exactly once no matter how many workers scan the batch.
 struct Batch {
   std::size_t backend = 0;
+  std::size_t inputs = 0;
   std::vector<int> programs;
   std::atomic<std::size_t> next{0};
   /// Worker id that popped the batch from the FIFO; units claimed by any
   /// other worker count as stolen. Relaxed: only stats read it.
   std::atomic<int> owner{-1};
+
+  [[nodiscard]] std::size_t size() const noexcept { return programs.size() * inputs; }
+  [[nodiscard]] ShardUnit unit(std::size_t k) const {
+    return ShardUnit{programs[k / inputs], k % inputs, backend};
+  }
 };
 
 /// Mirrors one run's SchedulerStats into the telemetry registry, so the
@@ -53,25 +60,28 @@ ShardScheduler::ShardScheduler(std::size_t num_backends,
 
 SchedulerStats ShardScheduler::run(
     const std::vector<std::vector<int>>& programs_per_backend,
-    const RunUnitFn& run_unit) const {
+    std::size_t inputs_per_program, const RunUnitFn& run_unit) const {
   OMPFUZZ_CHECK(programs_per_backend.size() == num_backends_,
                 "scheduler backend count mismatch");
+  OMPFUZZ_CHECK(inputs_per_program >= 1, "scheduler needs an input per program");
   SchedulerStats stats;
   stats.units_per_backend.assign(num_backends_, 0);
 
   // Form batches: each backend's pending programs, in program order, cut
-  // into runs of batch_size. Backend-major order — the FIFO hands every
-  // worker the next unstarted batch regardless of backend, and stealing
-  // erases any imbalance the ordering leaves.
+  // into runs of batch_size, each program with all its inputs. Backend-major
+  // order — the FIFO hands every worker the next unstarted batch regardless
+  // of backend, and stealing erases any imbalance the ordering leaves.
   const auto batch_size = static_cast<std::size_t>(config_.batch_size);
   std::vector<std::unique_ptr<Batch>> batches;
   for (std::size_t b = 0; b < num_backends_; ++b) {
     const auto& programs = programs_per_backend[b];
-    stats.units += programs.size();
-    stats.units_per_backend[b] += programs.size();
+    const std::size_t units = programs.size() * inputs_per_program;
+    stats.units += units;
+    stats.units_per_backend[b] += units;
     for (std::size_t start = 0; start < programs.size(); start += batch_size) {
       auto batch = std::make_unique<Batch>();
       batch->backend = b;
+      batch->inputs = inputs_per_program;
       const std::size_t end = std::min(programs.size(), start + batch_size);
       batch->programs.assign(programs.begin() + static_cast<std::ptrdiff_t>(start),
                              programs.begin() + static_cast<std::ptrdiff_t>(end));
@@ -101,9 +111,9 @@ SchedulerStats ShardScheduler::run(
     // reaches the caller's journal) before the first error rethrows, so
     // crash-resume progress does not depend on the thread count.
     for (const auto& batch : batches) {
-      for (const int p : batch->programs) {
+      for (std::size_t k = 0; k < batch->size(); ++k) {
         try {
-          run_unit(ShardUnit{p, batch->backend});
+          run_unit(batch->unit(k));
         } catch (...) {
           record_error();
         }
@@ -116,8 +126,9 @@ SchedulerStats ShardScheduler::run(
 
   const auto worker = [&](int id) {
     // Phase 1 — own batches: pop the next unstarted batch off the FIFO and
-    // drain it. The per-batch cursor (not a partition) claims units, so
-    // thieves can already be helping with this batch.
+    // drain it, each program's inputs in order. The per-batch cursor (not a
+    // partition) claims units, so thieves can already be helping with this
+    // batch.
     for (;;) {
       const std::size_t bi = next_batch.fetch_add(1, std::memory_order_relaxed);
       if (bi >= batches.size()) break;
@@ -125,9 +136,9 @@ SchedulerStats ShardScheduler::run(
       batch.owner.store(id, std::memory_order_relaxed);
       for (;;) {
         const std::size_t k = batch.next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= batch.programs.size()) break;
+        if (k >= batch.size()) break;
         try {
-          run_unit(ShardUnit{batch.programs[k], batch.backend});
+          run_unit(batch.unit(k));
         } catch (...) {
           record_error();
         }
@@ -136,25 +147,28 @@ SchedulerStats ShardScheduler::run(
     if (!config_.steal) return;
     // Phase 2 — steal: every batch has an owner by now (the FIFO is empty),
     // so any unit still unclaimed sits in a batch some straggler is working
-    // through. One sweep suffices: a batch whose cursor is past the end
+    // through — often the remaining inputs of the very program the owner is
+    // running. One sweep suffices: a batch whose cursor is past the end
     // stays that way, and claiming is idempotent-per-unit.
     for (const auto& batch_ptr : batches) {
       Batch& batch = *batch_ptr;
       for (;;) {
         const std::size_t k = batch.next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= batch.programs.size()) break;
+        if (k >= batch.size()) break;
+        const ShardUnit unit = batch.unit(k);
         if (batch.owner.load(std::memory_order_relaxed) != id) {
           stolen.fetch_add(1, std::memory_order_relaxed);
           if (telemetry::Tracer::instance().active()) {
             telemetry::Tracer::instance().instant(
                 "steal", "steal",
-                "\"program\":" + std::to_string(batch.programs[k]) +
-                    ",\"backend\":" + std::to_string(batch.backend) +
+                "\"program\":" + std::to_string(unit.program_index) +
+                    ",\"input\":" + std::to_string(unit.input_index) +
+                    ",\"backend\":" + std::to_string(unit.backend) +
                     ",\"thief\":" + std::to_string(id));
           }
         }
         try {
-          run_unit(ShardUnit{batch.programs[k], batch.backend});
+          run_unit(unit);
         } catch (...) {
           record_error();
         }

@@ -1,5 +1,7 @@
 #include "harness/sim_executor.hpp"
 
+#include <optional>
+
 #include "interp/step_bound.hpp"
 #include "runtime/cost_model.hpp"
 #include "support/error.hpp"
@@ -84,7 +86,7 @@ DetailedRun SimExecutor::run_detailed(const TestCase& test,
   const rt::OmpImplProfile& prof = profile(impl_name);
   const interp::Compiled lowered = lower(test.program, prof.fp.contract_fma);
   interp::InterpResult ir;
-  return run_lowered(test, lowered, test.program.fingerprint(), input_index,
+  return run_lowered(test, lowered, fingerprint_of(test), input_index,
                      prof, ir, Source::Interpret);
 }
 
@@ -112,14 +114,15 @@ std::vector<core::RunResult> SimExecutor::run_batch(
     }
   }
   std::vector<interp::InterpResult> interps(n);  // this input's, by leader
-  // Lowered forms live for this batch only, indexed by contract_fma.
-  std::optional<interp::Compiled> lowered[2];
+  // This batch's hold on the cached lowered forms, indexed by contract_fma:
+  // a reclaim during the batch cannot free them.
+  const std::uint64_t fingerprint = fingerprint_of(test);
+  std::shared_future<interp::Compiled> forms[2];
   const auto lowered_for = [&](const rt::OmpImplProfile& p) -> const interp::Compiled& {
-    std::optional<interp::Compiled>& slot = lowered[p.fp.contract_fma ? 1 : 0];
-    if (!slot) slot.emplace(lower(test.program, p.fp.contract_fma));
-    return *slot;
+    std::shared_future<interp::Compiled>& form = forms[p.fp.contract_fma ? 1 : 0];
+    if (!form.valid()) form = lowered(test.program, fingerprint, p.fp.contract_fma);
+    return form.get();
   };
-  const std::uint64_t fingerprint = test.program.fingerprint();
   results.reserve(input_indices.size() * n);
   for (const std::size_t input_index : input_indices) {
     OMPFUZZ_CHECK(input_index < test.inputs.size(), "input index out of range");
@@ -140,6 +143,36 @@ std::vector<core::RunResult> SimExecutor::run_batch(
     }
   }
   return results;
+}
+
+std::shared_future<interp::Compiled> SimExecutor::lowered(
+    const ast::Program& program, std::uint64_t fingerprint, bool contract_fma) {
+  const auto key = std::make_pair(fingerprint, contract_fma);
+  std::optional<std::promise<interp::Compiled>> promise;
+  std::shared_future<interp::Compiled> future;
+  {
+    const std::lock_guard<std::mutex> lock(lowered_mutex_);
+    if (const auto it = lowered_.find(key); it != lowered_.end()) return it->second;
+    // Insert the future before lowering: a second thread asking for the same
+    // program waits on it instead of lowering again.
+    future = promise.emplace().get_future().share();
+    lowered_.emplace(key, future);
+  }
+  try {
+    promise->set_value(lower(program, contract_fma));
+  } catch (...) {
+    // Waiters see the error; the next request lowers again.
+    promise->set_exception(std::current_exception());
+    const std::lock_guard<std::mutex> lock(lowered_mutex_);
+    lowered_.erase(key);
+  }
+  return future;
+}
+
+void SimExecutor::reclaim_artifacts(std::uint64_t program_fingerprint) {
+  const std::lock_guard<std::mutex> lock(lowered_mutex_);
+  lowered_.erase({program_fingerprint, false});
+  lowered_.erase({program_fingerprint, true});
 }
 
 DetailedRun SimExecutor::run_lowered(const TestCase& test,

@@ -7,6 +7,15 @@
 // decision derives from a hash of (program fingerprint, input, impl), making
 // whole campaigns bit-reproducible.
 //
+// run_batch lowers each program once per contract_fma setting and keeps the
+// lowered form, as SubprocessExecutor keeps binaries: a shared future per
+// (program fingerprint, contract_fma). The first requester lowers; every
+// later run_batch call for the program, on any thread, reuses the result
+// until reclaim_artifacts drops it. A campaign calls run_batch once per input
+// and reclaims when a program's last input finishes, so each program is
+// lowered once however its inputs are spread across workers. run() and
+// run_detailed() lower on every call and never touch the cache.
+//
 // Inside one run_batch call, implementations with equal FpSemantics share
 // one interpretation per input: the team size and step budget are fixed per
 // executor, so their interpretations are bit-identical. The first such
@@ -28,12 +37,16 @@
 // Per interpretation actually performed: sim.steps and the interpretation
 // time in the sim.interp_nanos.ok / .over_budget histograms, so the share
 // of interpreter time spent on runs whose result is discarded is visible in
-// every metrics snapshot. Per lowered program: sim.compiles. Hence
+// every metrics snapshot. Per lowering actually performed: sim.compiles. Hence
 // ok + over_budget histogram counts + sim.memo_hits + sim.static_skips ==
 // sim.runs.
 #pragma once
 
-#include <optional>
+#include <cstdint>
+#include <future>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "harness/executor.hpp"
 #include "interp/interp.hpp"
@@ -72,11 +85,12 @@ class SimExecutor final : public Executor {
 
   [[nodiscard]] core::RunResult run(const TestCase& test, std::size_t input_index,
                                     const std::string& impl_name) override;
-  /// Lowers the program once per batch (once per contract_fma setting among
-  /// `impls`), interprets each input once per FpSemantics class among
-  /// `impls`, and prices that interpretation for every implementation of
-  /// the class. Inputs whose static step bound exceeds the budget are not
-  /// interpreted at all. Results equal looping run().
+  /// Takes the program's lowered form from the cache (lowering it on first
+  /// request, once per contract_fma setting among `impls`), interprets each
+  /// input once per FpSemantics class among `impls`, and prices that
+  /// interpretation for every implementation of the class. Inputs whose
+  /// static step bound exceeds the budget are not interpreted at all.
+  /// Results equal looping run().
   [[nodiscard]] std::vector<core::RunResult> run_batch(
       const TestCase& test, const std::vector<std::size_t>& input_indices,
       const std::vector<std::string>& impls) override;
@@ -90,8 +104,13 @@ class SimExecutor final : public Executor {
   [[nodiscard]] std::string impl_identity(
       const std::string& impl_name) const override;
 
-  /// Stateless run path: interpretation, pricing, and fault decisions touch
-  /// only immutable members and locals.
+  /// Drops the cached lowered forms of the program (both contract_fma
+  /// settings); a later run_batch for it lowers again.
+  void reclaim_artifacts(std::uint64_t program_fingerprint) override;
+
+  /// Interpretation, pricing and fault decisions touch only immutable
+  /// members and locals; the lowering cache hands out shared futures behind
+  /// a short-lived mutex.
   [[nodiscard]] bool thread_safe() const noexcept override { return true; }
 
   /// Full observability for the perf-analysis benches (Tables II/III).
@@ -130,8 +149,18 @@ class SimExecutor final : public Executor {
                                         interp::InterpResult& ir,
                                         Source source) const;
 
+  /// The cached lowered form of `program` under `contract_fma`; the first
+  /// requester lowers it while later ones wait on the same future.
+  [[nodiscard]] std::shared_future<interp::Compiled> lowered(
+      const ast::Program& program, std::uint64_t fingerprint, bool contract_fma);
+
   std::vector<rt::OmpImplProfile> profiles_;
   SimExecutorOptions options_;
+  /// Guards lowered_ only — insertion of the future, not the lowering.
+  std::mutex lowered_mutex_;
+  /// (program fingerprint, contract_fma) -> future lowered form.
+  std::map<std::pair<std::uint64_t, bool>, std::shared_future<interp::Compiled>>
+      lowered_;
 };
 
 }  // namespace ompfuzz::harness

@@ -93,7 +93,7 @@ const ImplementationSpec& SubprocessExecutor::spec_for(
 std::shared_future<SubprocessExecutor::CompileOutcome>
 SubprocessExecutor::ensure_binary(const TestCase& test,
                                   const ImplementationSpec& impl) {
-  const auto key = std::make_pair(test.program.fingerprint(), impl.name);
+  const auto key = std::make_pair(fingerprint_of(test), impl.name);
   auto promise = std::make_shared<std::promise<CompileOutcome>>();
   std::shared_future<CompileOutcome> future = promise->get_future().share();
   {
@@ -129,7 +129,7 @@ SubprocessExecutor::ensure_binary(const TestCase& test,
   // would otherwise race on the same source/binary paths.
   char fp_hex[17];
   std::snprintf(fp_hex, sizeof(fp_hex), "%016llx",
-                static_cast<unsigned long long>(test.program.fingerprint()));
+                static_cast<unsigned long long>(fingerprint_of(test)));
   const std::string stem = options_.work_dir + "/" + test.program.name() +
                            "_" + fp_hex + "_" + impl.name;
   const std::string src = stem + ".cpp";
@@ -169,7 +169,7 @@ SubprocessExecutor::ensure_binary(const TestCase& test,
     if (telemetry::Tracer::instance().active()) {
       span_start_ns = telemetry::Tracer::now_ns() + 1;
       span_args = "\"fingerprint\":\"" +
-                  telemetry::hex_fingerprint(test.program.fingerprint()) +
+                  telemetry::hex_fingerprint(fingerprint_of(test)) +
                   "\",\"impl\":\"" + impl.name + "\"";
     }
     pool_.submit(std::move(job), [promise, bin, span_start_ns,

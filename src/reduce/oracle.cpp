@@ -1,6 +1,8 @@
 #include "reduce/oracle.hpp"
 
 #include <algorithm>
+#include <map>
+#include <utility>
 
 #include "analysis/value_range.hpp"
 #include "support/config.hpp"
@@ -21,6 +23,9 @@ struct OneResult {
   std::uint64_t cached = 0;
   std::uint64_t failures = 0;
   bool static_rejected = false;
+  /// The executor threw on the candidate: deterministic, so unlike a
+  /// fabricated run there is no retry to keep its artifacts for.
+  bool refused = false;
 };
 
 }  // namespace
@@ -56,11 +61,9 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
     span.arg("requests", static_cast<std::uint64_t>(requests.size()));
   }
 
-  const auto run_one = [this](const Request& request) {
+  const auto run_one = [this](const Request& request, std::uint64_t fingerprint,
+                              const std::string& input_text) {
     const std::size_t nj = impl_names_.size();
-    const std::uint64_t fingerprint = request.program->fingerprint();
-    const std::string input_text = request.input->to_string();
-
     OneResult out;
     out.fingerprint = fingerprint;
 
@@ -113,6 +116,7 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
     if (!missing.empty()) {
       harness::TestCase test;
       test.program = request.program->clone();
+      test.fingerprint = fingerprint;
       test.features = ast::analyze(test.program);
       test.inputs.push_back(*request.input);
       test.seed = fingerprint;  // deterministic (unused by in-tree executors)
@@ -133,6 +137,7 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
         // like the fabricated-result path below.
         out.classification.trusted = false;
         out.failures += missing.size();
+        out.refused = true;
         return out;
       }
       OMPFUZZ_CHECK(batch.size() == missing.size(),
@@ -161,19 +166,47 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
     return out;
   };
 
-  std::vector<OneResult> partials(requests.size());
-  const std::size_t workers =
-      std::min(resolve_thread_count(options_.threads), requests.size());
-  if (workers <= 1 || !executor_.thread_safe()) {
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      partials[i] = run_one(requests[i]);
+  // Requests for the same (program, input) have one answer: run each key
+  // once, so that parallel duplicates cannot both miss the memo and both
+  // execute. `first[k]` is the request that answers for request k.
+  std::vector<std::uint64_t> fingerprints(requests.size());
+  std::vector<std::string> input_texts(requests.size());
+  std::vector<std::size_t> first(requests.size());
+  std::vector<std::size_t> unique;
+  {
+    std::map<std::pair<std::uint64_t, std::string>, std::size_t> seen;
+    for (std::size_t k = 0; k < requests.size(); ++k) {
+      fingerprints[k] = requests[k].program->fingerprint();
+      input_texts[k] = requests[k].input->to_string();
+      const auto [it, fresh] =
+          seen.try_emplace({fingerprints[k], input_texts[k]}, k);
+      first[k] = it->second;
+      if (fresh) unique.push_back(k);
     }
+  }
+
+  std::vector<OneResult> partials(requests.size());
+  const auto run_unique = [&](std::size_t u) {
+    const std::size_t k = unique[u];
+    partials[k] = run_one(requests[k], fingerprints[k], input_texts[k]);
+  };
+  const std::size_t workers =
+      std::min(resolve_thread_count(options_.threads), unique.size());
+  if (workers <= 1 || !executor_.thread_safe()) {
+    for (std::size_t u = 0; u < unique.size(); ++u) run_unique(u);
   } else {
     ThreadPool pool(workers);
-    parallel_for(pool, static_cast<int>(requests.size()), [&](int i) {
-      partials[static_cast<std::size_t>(i)] =
-          run_one(requests[static_cast<std::size_t>(i)]);
-    });
+    parallel_for(pool, static_cast<int>(unique.size()),
+                 [&](int u) { run_unique(static_cast<std::size_t>(u)); });
+  }
+  // A duplicate gets its first request's answer; every run that answer
+  // took counts as served from cache for the duplicate.
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    if (first[k] == k) continue;
+    OneResult& partial = partials[k];
+    partial = partials[first[k]];
+    partial.cached += partial.executed;
+    partial.executed = 0;
   }
 
   ++stats_.batches;
@@ -201,7 +234,10 @@ InterestingnessOracle::classify(std::span<const Request> requests) {
     // its own in-flight children. Candidates with a fabricated (harness
     // failure) or unclassifiable run keep their artifacts: nothing was
     // memoized for them, so a revisit would otherwise pay a full recompile.
-    if (can_reclaim_ && partial.failures == 0 && !partial.static_rejected) {
+    // A candidate the executor refused is reclaimed: a revisit is refused
+    // again, whatever it keeps.
+    if (can_reclaim_ && (partial.failures == 0 || partial.refused) &&
+        !partial.static_rejected) {
       // Static-rejected candidates never dispatched, so they own no
       // artifacts to reclaim.
       executor_.reclaim_artifacts(partial.fingerprint);

@@ -8,7 +8,10 @@
 //   * a whole generation of candidates is classified in one classify() call —
 //     candidates dispatch concurrently through Executor::run_batch, so the
 //     async subprocess pipeline keeps dozens of compiler/test children in
-//     flight across candidates, exactly as it does across campaign shards;
+//     flight across candidates, exactly as it does across campaign shards.
+//     Requests for the same (program, input) in one call run once, and the
+//     duplicates share the answer, so the runs a batch executes do not
+//     depend on timing;
 //   * every (candidate fingerprint, input, implementation) triple is looked
 //     up in the persistent ResultStore first and written back after
 //     execution. Reductions revisit overlapping candidates constantly (ddmin
@@ -68,7 +71,9 @@ struct OracleStats {
   std::uint64_t candidates = 0;     ///< programs classified
   std::uint64_t batches = 0;        ///< classify() calls
   std::uint64_t executed_runs = 0;  ///< (impl) runs dispatched to the executor
-  std::uint64_t cached_runs = 0;    ///< (impl) runs served by the result store
+  /// (impl) runs served by the memo, the result store, or an identical
+  /// request earlier in the same classify() call.
+  std::uint64_t cached_runs = 0;
   std::uint64_t harness_failures = 0;  ///< fabricated results seen (untrusted)
   /// Candidates rejected by the value-range gate (zero children spawned).
   std::uint64_t static_rejects = 0;

@@ -157,11 +157,13 @@ struct SchedulerConfig {
   /// as-equal-as-possible groups, each homogeneous in backend kind). 1 =
   /// single backend, the pre-scheduler behavior.
   int backends = 1;
-  /// Program shards grouped into one scheduler batch. Batches amortize pool
-  /// overhead when num_programs >> threads; 1 = one batch per shard.
+  /// Programs grouped into one scheduler batch, each with all its inputs.
+  /// Batches amortize pool overhead when num_programs >> threads; 1 = one
+  /// batch per program.
   int batch_size = 1;
-  /// Idle workers claim unstarted shards from in-progress batches, so a
-  /// hang-heavy shard cannot strand the rest of its batch on one worker.
+  /// Idle workers claim unstarted inputs from in-progress batches, so a
+  /// hang-heavy program cannot strand the rest of its batch, or its own
+  /// remaining inputs, on one worker.
   bool steal = true;
 
   static SchedulerConfig from_config(const ConfigFile& file);
@@ -200,9 +202,9 @@ struct RetryConfig {
   /// Backoff before retry attempt k is base_ms * 2^(k-1), capped at cap_ms.
   std::int64_t base_ms = 10;
   std::int64_t cap_ms = 2000;
-  /// A backend whose workers complete this many CONSECUTIVE sub-shards that
-  /// still contain harness failures after retries is marked dead: its
-  /// pending sub-shards migrate to a registered failover executor with
+  /// A backend whose workers complete this many CONSECUTIVE (program, input)
+  /// units that still contain harness failures after retries is marked
+  /// dead: its pending units migrate to a registered failover executor with
   /// identical implementation identities when one exists, and are fabricated
   /// as quarantined losses otherwise.
   int backend_death_threshold = 4;

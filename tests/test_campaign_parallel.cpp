@@ -1,21 +1,29 @@
 // Determinism tests for the sharded campaign engine: for a fixed seed, a
-// campaign must produce bit-identical results for every thread count, and
-// the thread-pool substrate must behave (cover every index, propagate
-// exceptions, resolve the 0 = hardware-concurrency knob).
+// campaign must produce bit-identical results for every thread count, steal
+// schedule and kill point — also when idle workers take a straggler
+// program's inputs — and the thread-pool substrate must behave (cover every
+// index, propagate exceptions, resolve the 0 = hardware-concurrency knob).
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "harness/campaign.hpp"
+#include "harness/report.hpp"
 #include "harness/sim_executor.hpp"
 #include "support/config.hpp"
 #include "support/error.hpp"
+#include "support/result_store.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ompfuzz {
@@ -23,6 +31,7 @@ namespace {
 
 using harness::Campaign;
 using harness::CampaignResult;
+using harness::Executor;
 using harness::SimExecutor;
 using harness::SimExecutorOptions;
 using harness::TestOutcome;
@@ -241,6 +250,143 @@ TEST(CampaignParallel, ThreadsKnobParsesAndValidates) {
   EXPECT_NO_THROW(cfg.validate());
   cfg.threads = -1;
   EXPECT_THROW(cfg.validate(), ConfigError);
+}
+
+// --------------------------------------------------- input-granular units --
+
+/// Forwards to `inner`, sleeping `heavy_ms` in every run_batch call for
+/// program "test_0": a straggler whose every input costs far more than the
+/// whole rest of the campaign. Results are the inner executor's.
+class StragglerExecutor final : public Executor {
+ public:
+  StragglerExecutor(Executor& inner, int heavy_ms)
+      : inner_(inner), heavy_ms_(heavy_ms) {}
+
+  [[nodiscard]] core::RunResult run(const harness::TestCase& test,
+                                    std::size_t input_index,
+                                    const std::string& impl_name) override {
+    return inner_.run(test, input_index, impl_name);
+  }
+  [[nodiscard]] std::vector<core::RunResult> run_batch(
+      const harness::TestCase& test, const std::vector<std::size_t>& input_indices,
+      const std::vector<std::string>& impls) override {
+    if (test.program.name() == "test_0") {
+      std::this_thread::sleep_for(std::chrono::milliseconds(heavy_ms_));
+    }
+    return inner_.run_batch(test, input_indices, impls);
+  }
+  [[nodiscard]] std::vector<std::string> implementations() const override {
+    return inner_.implementations();
+  }
+  [[nodiscard]] std::string impl_identity(const std::string& name) const override {
+    return inner_.impl_identity(name);
+  }
+  void reclaim_artifacts(std::uint64_t fingerprint) override {
+    inner_.reclaim_artifacts(fingerprint);
+  }
+  [[nodiscard]] bool thread_safe() const noexcept override { return true; }
+
+ private:
+  Executor& inner_;
+  int heavy_ms_;
+};
+
+TEST(CampaignParallel, IdleWorkersStealAStragglersInputsWithoutChangingTheReport) {
+  // Program 0's inputs each outlast the rest of the campaign. Its owner runs
+  // input 0 while the other workers drain programs 1..7; they then take
+  // inputs 1 and 2 instead of idling behind the owner.
+  const auto run = [](int threads, bool steal, std::uint64_t* stolen) {
+    CampaignConfig cfg = small_config(threads);
+    cfg.num_programs = 8;
+    cfg.inputs_per_program = 3;
+    SimExecutorOptions opt;
+    opt.num_threads = 8;
+    SimExecutor sim(opt);
+    StragglerExecutor exec(sim, 300);
+    SchedulerConfig sched;
+    sched.steal = steal;
+    Campaign campaign(cfg, {{&exec, "default"}}, sched);
+    const std::string report = harness::to_json(campaign.run());
+    if (stolen != nullptr) *stolen = campaign.scheduler_stats().stolen_units;
+    return report;
+  };
+  std::uint64_t stolen = 0;
+  const std::string parallel = run(4, true, &stolen);
+  EXPECT_GT(stolen, 0u) << "no idle worker took a straggler input";
+  EXPECT_EQ(parallel, run(1, true, nullptr));
+  EXPECT_EQ(parallel, run(4, false, nullptr));
+}
+
+/// Thrown by KillingExecutor. Not a std::exception, so the campaign's retry
+/// layer does not absorb it: the unit that receives it never completes.
+struct Killed {};
+
+/// Forwards to `inner` for the first `live_calls` run_batch calls and throws
+/// Killed from then on — a campaign process killed mid-program.
+class KillingExecutor final : public Executor {
+ public:
+  KillingExecutor(Executor& inner, int live_calls)
+      : inner_(inner), live_calls_(live_calls) {}
+
+  [[nodiscard]] core::RunResult run(const harness::TestCase& test,
+                                    std::size_t input_index,
+                                    const std::string& impl_name) override {
+    return inner_.run(test, input_index, impl_name);
+  }
+  [[nodiscard]] std::vector<core::RunResult> run_batch(
+      const harness::TestCase& test, const std::vector<std::size_t>& input_indices,
+      const std::vector<std::string>& impls) override {
+    if (calls_++ >= live_calls_) throw Killed{};
+    return inner_.run_batch(test, input_indices, impls);
+  }
+  [[nodiscard]] std::vector<std::string> implementations() const override {
+    return inner_.implementations();
+  }
+  [[nodiscard]] std::string impl_identity(const std::string& name) const override {
+    return inner_.impl_identity(name);
+  }
+
+ private:
+  Executor& inner_;
+  int live_calls_;
+  int calls_ = 0;
+};
+
+TEST(CampaignParallel, KillBetweenAProgramsInputsResumesIdentically) {
+  // 3 inputs per program, one run_batch call per input: 7 live calls finish
+  // programs 0 and 1 and input 0 of program 2. Program 2 is therefore not
+  // journaled, and the resumed campaign runs it again from its first input.
+  CampaignConfig cfg = small_config(1);
+  cfg.num_programs = 5;
+  cfg.inputs_per_program = 3;
+  SimExecutorOptions opt;
+  opt.num_threads = 8;
+  const std::string path = ::testing::TempDir() + "/ompfuzz_kill_input_" +
+                           std::to_string(getpid()) + ".journal";
+  std::remove(path.c_str());
+
+  std::string expected;
+  {
+    SimExecutor sim(opt);
+    Campaign reference(cfg, sim);
+    expected = harness::to_json(reference.run());
+  }
+  {
+    SimExecutor sim(opt);
+    KillingExecutor dying(sim, 7);
+    CheckpointJournal journal(path);
+    Campaign campaign(cfg, dying);
+    campaign.set_checkpoint(&journal, true);
+    EXPECT_THROW((void)campaign.run(), Killed);
+  }
+  SimExecutor sim(opt);
+  CheckpointJournal journal(path);
+  Campaign resumed(cfg, sim);
+  resumed.set_checkpoint(&journal, true);
+  const std::string report = harness::to_json(resumed.run());
+  EXPECT_EQ(resumed.resumed_programs(), 2);
+  EXPECT_EQ(report, expected);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "analysis/race_analyzer.hpp"
 #include "harness/campaign.hpp"
@@ -273,6 +275,54 @@ TEST(SimExecutor, RunBatchSharesInterpretationsAndEqualsRun) {
   }
 }
 
+std::uint64_t compiles() {
+  return telemetry::Registry::global().snapshot().counter("sim.compiles");
+}
+
+// run_batch keeps each program's lowered form, once per contract_fma
+// setting, for every later call on any thread, until reclaim_artifacts drops
+// it. run() lowers on every call and leaves the cache alone.
+TEST(SimExecutor, RunBatchLowersOncePerProgramUntilReclaimed) {
+  rt::OmpImplProfile intel_fma = rt::intel_profile();
+  intel_fma.fp.contract_fma = true;
+  SimExecutor exec({rt::gcc_profile(), rt::clang_profile(), intel_fma},
+                   tiny_options());
+  Campaign campaign(tiny_config(), exec);
+  const TestCase test = campaign.make_test_case(0);
+  const std::vector<std::string> impls = exec.implementations();
+  const std::vector<core::RunResult> expected =
+      exec.run_batch(test, {0, 1}, impls);
+  const std::uint64_t lowered = compiles();
+
+  // One call per input, from four threads at once: nothing is lowered again.
+  std::vector<std::vector<core::RunResult>> per_input(4);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < per_input.size(); ++t) {
+    workers.emplace_back(
+        [&, t] { per_input[t] = exec.run_batch(test, {t % 2}, impls); });
+  }
+  for (auto& worker : workers) worker.join();
+  EXPECT_EQ(compiles(), lowered);
+  for (std::size_t t = 0; t < per_input.size(); ++t) {
+    ASSERT_EQ(per_input[t].size(), impls.size());
+    for (std::size_t j = 0; j < impls.size(); ++j) {
+      expect_same_result(per_input[t][j], expected[(t % 2) * impls.size() + j]);
+    }
+  }
+
+  (void)exec.run(test, 0, "gcc");
+  EXPECT_EQ(compiles(), lowered + 1) << "run() must lower uncached";
+
+  // Reclaiming empties the cache: both forms are lowered again.
+  exec.reclaim_artifacts(test.program.fingerprint());
+  (void)exec.run_batch(test, {0}, impls);
+  EXPECT_EQ(compiles(), lowered + 3);
+  // Reclaiming another program leaves this one cached.
+  exec.reclaim_artifacts(test.program.fingerprint() + 1);
+  (void)exec.run_batch(test, {1}, impls);
+  EXPECT_EQ(compiles(), lowered + 3);
+}
+
 // ------------------------------------------------------------ campaign -----
 
 TEST(CampaignTest, TestCasesAreReproducible) {
@@ -281,6 +331,8 @@ TEST(CampaignTest, TestCasesAreReproducible) {
   const TestCase a = campaign.make_test_case(3);
   const TestCase b = campaign.make_test_case(3);
   EXPECT_EQ(a.program.fingerprint(), b.program.fingerprint());
+  EXPECT_EQ(a.fingerprint, a.program.fingerprint());
+  EXPECT_EQ(fingerprint_of(a), a.fingerprint);
   ASSERT_EQ(a.inputs.size(), b.inputs.size());
   for (std::size_t i = 0; i < a.inputs.size(); ++i) {
     EXPECT_EQ(a.inputs[i].hash(), b.inputs[i].hash());

@@ -689,6 +689,45 @@ TEST(OracleStaticReject, ToggleOnlyChangesChildCountNotClassification) {
   EXPECT_LT(gated.stats().executed_runs, ungated.stats().executed_runs);
 }
 
+TEST(OracleCache, DuplicateRequestsInOneBatchExecuteOnce) {
+  // One classify() call holding the same (program, input) several times:
+  // each key executes once at any thread count, and the duplicates share its
+  // answer as cached runs. The out-of-bounds candidate (gate off) is refused
+  // by the interpreter, so nothing is memoized for it: only deduplication
+  // keeps its duplicate from executing again.
+  const Fixture f;
+  const fp::InputSet input = f.input();
+  fp::InputSet other = f.input();
+  other.values[1].fp_value = 5.0;
+  const ArrayFixture a;
+  const Program oob = a.oob_variant();
+  const fp::InputSet array_input = a.input();
+  const std::vector<InterestingnessOracle::Request> requests = {
+      {&f.prog, &input}, {&f.prog, &other}, {&oob, &array_input},
+      {&f.prog, &input}, {&oob, &array_input}, {&f.prog, &input},
+      {&f.prog, &other}};
+  for (const int threads : {1, 4}) {
+    harness::SimExecutor executor;
+    OracleOptions opt;
+    opt.threads = threads;
+    opt.static_reject = false;
+    InterestingnessOracle oracle(executor, opt);
+    const auto results = oracle.classify(requests);
+    const std::uint64_t nj = oracle.impl_names().size();
+    EXPECT_EQ(oracle.stats().candidates, requests.size());
+    EXPECT_EQ(oracle.stats().executed_runs, 3 * nj) << threads << " threads";
+    EXPECT_EQ(oracle.stats().cached_runs, 4 * nj) << threads << " threads";
+    ASSERT_EQ(results.size(), requests.size());
+    for (const auto& [dup, first] :
+         {std::pair<std::size_t, std::size_t>{3, 0}, {5, 0}, {6, 1}, {4, 2}}) {
+      EXPECT_EQ(results[dup].cls, results[first].cls) << dup;
+      EXPECT_EQ(results[dup].trusted, results[first].trusted) << dup;
+    }
+    EXPECT_TRUE(results[0].trusted);
+    EXPECT_FALSE(results[2].trusted);
+  }
+}
+
 // ------------------------------------------------------ campaign retention -
 
 TEST(CampaignRetention, DivergentTriplesCarrySourceAndAst) {

@@ -18,6 +18,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "harness/campaign.hpp"
@@ -78,22 +79,25 @@ TEST(ShardScheduler, EveryUnitRunsExactlyOnce) {
         const ShardScheduler scheduler(2, sched_config(batch_size, steal),
                                        threads);
         std::mutex mutex;
-        std::set<std::pair<int, std::size_t>> seen;
+        std::set<std::tuple<int, std::size_t, std::size_t>> seen;
         std::atomic<int> calls{0};
         const std::vector<std::vector<int>> programs = {
             {0, 1, 2, 3, 4, 5, 6}, {0, 2, 4, 6}};
-        const auto stats = scheduler.run(programs, [&](const ShardUnit& unit) {
+        const auto stats = scheduler.run(programs, 3, [&](const ShardUnit& unit) {
           calls.fetch_add(1);
           const std::lock_guard<std::mutex> lock(mutex);
-          EXPECT_TRUE(seen.insert({unit.program_index, unit.backend}).second)
+          EXPECT_LT(unit.input_index, 3u);
+          EXPECT_TRUE(
+              seen.insert({unit.program_index, unit.input_index, unit.backend})
+                  .second)
               << "unit ran twice";
         });
-        EXPECT_EQ(calls.load(), 11);
-        EXPECT_EQ(seen.size(), 11u);
-        EXPECT_EQ(stats.units, 11u);
+        EXPECT_EQ(calls.load(), 33);
+        EXPECT_EQ(seen.size(), 33u);
+        EXPECT_EQ(stats.units, 33u);
         ASSERT_EQ(stats.units_per_backend.size(), 2u);
-        EXPECT_EQ(stats.units_per_backend[0], 7u);
-        EXPECT_EQ(stats.units_per_backend[1], 4u);
+        EXPECT_EQ(stats.units_per_backend[0], 21u);
+        EXPECT_EQ(stats.units_per_backend[1], 12u);
         const auto expected_batches =
             static_cast<std::uint64_t>((7 + batch_size - 1) / batch_size +
                                        (4 + batch_size - 1) / batch_size);
@@ -110,16 +114,17 @@ TEST(ShardScheduler, PropagatesRunUnitExceptions) {
   const ShardScheduler scheduler(1, sched_config(2, true), 4);
   const std::vector<std::vector<int>> programs = {{0, 1, 2, 3, 4, 5}};
   std::atomic<int> calls{0};
-  EXPECT_THROW(scheduler.run(programs,
+  EXPECT_THROW(scheduler.run(programs, 2,
                              [&](const ShardUnit& unit) {
                                calls.fetch_add(1);
-                               if (unit.program_index == 3) {
+                               if (unit.program_index == 3 &&
+                                   unit.input_index == 0) {
                                  throw Error("unit failure");
                                }
                              }),
                Error);
   // Remaining units still ran (parallel_for semantics).
-  EXPECT_EQ(calls.load(), 6);
+  EXPECT_EQ(calls.load(), 12);
 }
 
 // ------------------------------------------- bit-identical merged result ---

@@ -179,12 +179,18 @@ TEST(TelemetryRegistry, SnapshotDeltaDeterministicAcrossThreadCounts) {
   EXPECT_EQ(h1->buckets, h4->buckets);
 }
 
-// The ISSUE-level determinism contract: for a seed-fixed campaign, every
-// deterministic registry counter lands on the same per-run delta whether the
-// campaign ran on one worker or four. Timing metrics (analysis_nanos, the
-// unit_micros sum) are wall-clock and excluded; the unit_micros COUNT is one
-// record per sub-shard unit and must match.
+// The determinism contract: for a seed-fixed campaign, every deterministic
+// registry counter lands on the same per-run delta whether the campaign ran
+// on one worker or four. Timing metrics (analysis_nanos, the unit_micros
+// sum) are wall-clock and excluded; the unit_micros COUNT is one record per
+// (program, input) unit and must match. scheduler.stolen_units counts the
+// inputs idle workers actually took, which depends on timing: it is zero on
+// one worker, and whatever it is on four, the report is the same.
 TEST(TelemetryRegistry, CampaignRunMetricsDeterministicAcrossThreadCounts) {
+  struct Observed {
+    MetricsSnapshot metrics;
+    std::string report;
+  };
   const auto run_with_threads = [](int threads) {
     CampaignConfig cfg;
     cfg.generator.max_loop_trip_count = 40;  // keep interpretation fast
@@ -194,30 +200,34 @@ TEST(TelemetryRegistry, CampaignRunMetricsDeterministicAcrossThreadCounts) {
     cfg.threads = threads;
     harness::SimExecutor exec{harness::SimExecutorOptions{}};
     harness::Campaign campaign(cfg, exec);
-    (void)campaign.run();
-    return campaign.run_metrics();
+    Observed out;
+    out.report = harness::to_json(campaign.run());
+    out.metrics = campaign.run_metrics();
+    return out;
   };
 
-  const MetricsSnapshot one = run_with_threads(1);
-  const MetricsSnapshot four = run_with_threads(4);
+  const Observed one = run_with_threads(1);
+  const Observed four = run_with_threads(4);
   for (const char* name :
-       {"scheduler.units", "scheduler.batches", "scheduler.stolen_units",
-        "campaign.retried_triples", "campaign.retry_rounds",
-        "campaign.failover_units", "campaign.fabricated_units",
-        "campaign.journal_failures", "store.hits", "store.misses",
-        "store.puts"}) {
-    EXPECT_EQ(one.counter(name), four.counter(name)) << name;
+       {"scheduler.units", "scheduler.batches", "campaign.retried_triples",
+        "campaign.retry_rounds", "campaign.failover_units",
+        "campaign.fabricated_units", "campaign.journal_failures", "store.hits",
+        "store.misses", "store.puts"}) {
+    EXPECT_EQ(one.metrics.counter(name), four.metrics.counter(name)) << name;
   }
-  EXPECT_EQ(one.gauge("campaign.units_total"), 8);
-  EXPECT_EQ(one.gauge("campaign.units_done"), 8);
-  EXPECT_EQ(four.gauge("campaign.units_total"), 8);
-  EXPECT_EQ(four.gauge("campaign.units_done"), 8);
-  const auto* h1 = one.find("campaign.unit_micros");
-  const auto* h4 = four.find("campaign.unit_micros");
+  EXPECT_EQ(one.metrics.counter("scheduler.units"), 16u);
+  EXPECT_EQ(one.metrics.counter("scheduler.stolen_units"), 0u);
+  EXPECT_EQ(one.report, four.report);
+  EXPECT_EQ(one.metrics.gauge("campaign.units_total"), 16);
+  EXPECT_EQ(one.metrics.gauge("campaign.units_done"), 16);
+  EXPECT_EQ(four.metrics.gauge("campaign.units_total"), 16);
+  EXPECT_EQ(four.metrics.gauge("campaign.units_done"), 16);
+  const auto* h1 = one.metrics.find("campaign.unit_micros");
+  const auto* h4 = four.metrics.find("campaign.unit_micros");
   ASSERT_NE(h1, nullptr);
   ASSERT_NE(h4, nullptr);
-  EXPECT_EQ(h1->counter, 8u);
-  EXPECT_EQ(h4->counter, 8u);
+  EXPECT_EQ(h1->counter, 16u);
+  EXPECT_EQ(h4->counter, 16u);
 }
 
 // SimExecutor's per-run metrics: one bump per run and per lowered program,
